@@ -50,10 +50,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCHPathEquivalence -fuzztime 5s ./internal/roadnet
 
 # Full local CI gate: build, vet, tests, race (including the chaos suite),
-# short fuzz passes, and smoke runs of the benchmark suites (short
+# short fuzz passes, the round benchmark's own tests (a nested module the
+# root ./... never reaches), and smoke runs of the benchmark suites (short
 # benchtime: checks the harnesses and the speedup/zero-alloc gates, not
 # timings).
 ci: build vet test race fuzz
+	cd roundbench && $(GO) test ./...
 	$(GO) test -race -short -count=1 ./internal/distributed ./internal/wire
 	$(GO) test -race -short -count=1 -timeout 300s ./internal/distributed/e2e
 	$(MAKE) bench-core BENCHTIME=20ms BENCH_OUT=/tmp/BENCH_incremental.json

@@ -242,11 +242,11 @@ func TestMoveTasks(t *testing.T) {
 	in := twoUserInstance()
 	p := mustProfile(t, in, []int{0, 0})
 	// User 0 moving from route 0 (task 0) to route 1 (task 1): B = {0,1}.
-	b := p.MoveTasks(0, 1)
+	b := p.AppendMoveTasks(nil, 0, 1)
 	if len(b) != 2 {
 		t.Fatalf("MoveTasks = %v", b)
 	}
-	seen := map[task.ID]bool{}
+	seen := map[int]bool{}
 	for _, k := range b {
 		if seen[k] {
 			t.Fatalf("duplicate task in MoveTasks: %v", b)
@@ -257,7 +257,7 @@ func TestMoveTasks(t *testing.T) {
 		t.Errorf("MoveTasks = %v, want {0,1}", b)
 	}
 	// User 1 moving route0 -> route0 union is just {0,1} without dupes.
-	b2 := p.MoveTasks(1, 0)
+	b2 := p.AppendMoveTasks(nil, 1, 0)
 	if len(b2) != 2 {
 		t.Errorf("self MoveTasks = %v", b2)
 	}

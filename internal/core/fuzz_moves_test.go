@@ -13,7 +13,8 @@ import (
 // bytes is decoded into one step — a unilateral probe (ProfitDeltaIf /
 // ProfitIf) or an applied move (SetChoice) — and after the stream is
 // exhausted every maintained aggregate is compared: counts exactly,
-// Potential / TotalProfit / NashGap within Eps. The instance shape is
+// Potential / TotalProfit / NashGap within Eps. Every probe must also equal
+// the frozen marking implementation bit for bit. The instance shape is
 // itself derived from the fuzzed seed, so the mutator explores small
 // degenerate games as well as overlap-heavy ones.
 func FuzzProfileMoves(f *testing.F) {
@@ -37,8 +38,12 @@ func FuzzProfileMoves(f *testing.F) {
 			if moves[j]&0x80 != 0 {
 				// High bit: probe only.
 				wantD := o.ProfitIf(i, c) - o.Profit(i)
-				if got := p.ProfitDeltaIf(i, c); math.Abs(got-wantD) > Eps {
+				got := p.ProfitDeltaIf(i, c)
+				if math.Abs(got-wantD) > Eps {
 					t.Fatalf("ProfitDeltaIf(%d,%d) cached %v, oracle %v", i, c, got, wantD)
+				}
+				if mark := markingProfitDeltaIf(p, i, c); math.Float64bits(got) != math.Float64bits(mark) {
+					t.Fatalf("ProfitDeltaIf(%d,%d) masked %v, marking %v", i, c, got, mark)
 				}
 				if got, want := p.ProfitIf(i, c), o.ProfitIf(i, c); math.Abs(got-want) > Eps {
 					t.Fatalf("ProfitIf(%d,%d) cached %v, oracle %v", i, c, got, want)

@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // shareMemo is the memoized share table backing the incremental evaluation
 // layer: per-task (a_k, µ_k) in flat arrays plus a ln-table ln[q] = ln(q)
@@ -9,12 +12,25 @@ import "math"
 // while staying bit-identical to task.Share, which computes
 // (a_k + µ_k·ln(q))/q with the exact same operation order.
 //
-// The memo is immutable after construction and therefore shared by a
-// profile, all its clones, and any number of concurrent Evaluators.
+// The memo also carries the instance's route-overlap masks, built once on
+// first use. Apart from that one-time fill it is immutable and therefore
+// shared by a profile, all its clones, and any number of concurrent
+// Evaluators.
 type shareMemo struct {
 	a  []float64 // a_k per task
 	mu []float64 // µ_k per task
 	ln []float64 // ln[q] = math.Log(q); index 0 unused, ln[1] = 0
+
+	overlapOnce sync.Once
+	overlap     *overlapMasks
+}
+
+// overlapMasks returns the instance's route-overlap masks, building them on
+// the first call. Concurrent first callers block until the one build is
+// done; every later call is an atomic load.
+func (m *shareMemo) overlapMasks(in *Instance) *overlapMasks {
+	m.overlapOnce.Do(func() { m.overlap = newOverlapMasks(in) })
+	return m.overlap
 }
 
 func newShareMemo(in *Instance) *shareMemo {

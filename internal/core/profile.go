@@ -30,7 +30,14 @@ type Profile struct {
 	choices []int // choices[i] indexes Users[i].Routes
 	nk      []int // nk[k] = number of users whose chosen route covers task k
 
-	memo *shareMemo // immutable share table, shared with clones/evaluators
+	memo *shareMemo // share table and overlap masks, shared with clones/evaluators
+
+	// shareNow[k] = w_k(n_k)/n_k and shareJoin[k] = w_k(n_k+1)/(n_k+1):
+	// the share a user on task k holds now, and the share a user joining
+	// it would get. SetChoice refreshes both on the tasks it walks, so a
+	// probe reads a share instead of dividing for one.
+	shareNow  []float64
+	shareJoin []float64
 
 	// alphaSum[k] = Σ_{i: k ∈ L_si} α_i. With it, the reward part of
 	// Σ_i P_i collapses to Σ_k alphaSum[k]·share_k(n_k), which a move
@@ -48,7 +55,7 @@ type Profile struct {
 
 	moves int // SetChoice calls since the last rebase
 
-	ev evalState // scratch marks for delta probes on this profile
+	ev evalState // probe state for this profile's own queries
 }
 
 // NewProfile builds a profile from per-user route indices. The slice is
@@ -62,6 +69,8 @@ func NewProfile(inst *Instance, choices []int) (*Profile, error) {
 		choices:     append([]int(nil), choices...),
 		nk:          make([]int, len(inst.Tasks)),
 		memo:        newShareMemo(inst),
+		shareNow:    make([]float64, len(inst.Tasks)),
+		shareJoin:   make([]float64, len(inst.Tasks)),
 		alphaSum:    make([]float64, len(inst.Tasks)),
 		userCost:    make([]float64, len(inst.Users)),
 		userPotCost: make([]float64, len(inst.Users)),
@@ -108,6 +117,7 @@ func (p *Profile) rebase() {
 		if n > 0 {
 			p.profReward.add(p.alphaSum[k] * p.memo.share(k, n))
 		}
+		p.shareNow[k], p.shareJoin[k] = p.memo.share(k, n), p.memo.share(k, n+1)
 	}
 }
 
@@ -131,7 +141,8 @@ func (p *Profile) Count(k task.ID) int { return p.nk[int(k)] }
 // SetChoice moves user i to route index c, updating the participant counts
 // and every cached aggregate incrementally in O(|L_old| + |L_new|). Tasks
 // covered by both routes are walked twice with exactly cancelling deltas,
-// so no set intersection is needed.
+// so no set intersection is needed. Each step shifts task k's share caches
+// by one participant, so only one new share is computed per task walked.
 func (p *Profile) SetChoice(i UserID, c int) {
 	u := p.inst.Users[int(i)]
 	if c < 0 || c >= len(u.Routes) {
@@ -145,17 +156,21 @@ func (p *Profile) SetChoice(i UserID, c int) {
 	for _, k := range u.Routes[old].Tasks {
 		n, a := p.nk[k], p.alphaSum[k]
 		// User i leaves task k: n_k drops to n-1, the alpha-sum loses α_i.
-		p.potReward.add(-p.memo.share(int(k), n))
-		p.profReward.add((a-alpha)*p.memo.share(int(k), n-1) - a*p.memo.share(int(k), n))
+		now, prev := p.shareNow[k], p.memo.share(int(k), n-1)
+		p.potReward.add(-now)
+		p.profReward.add((a-alpha)*prev - a*now)
 		p.alphaSum[k] = a - alpha
 		p.nk[k] = n - 1
+		p.shareNow[k], p.shareJoin[k] = prev, now
 	}
 	for _, k := range u.Routes[c].Tasks {
 		n, a := p.nk[k]+1, p.alphaSum[k]+alpha
-		p.potReward.add(p.memo.share(int(k), n))
-		p.profReward.add(a*p.memo.share(int(k), n) - (a-alpha)*p.memo.share(int(k), n-1))
+		join, prev := p.shareJoin[k], p.shareNow[k]
+		p.potReward.add(join)
+		p.profReward.add(a*join - (a-alpha)*prev)
 		p.alphaSum[k] = a
 		p.nk[k] = n
+		p.shareNow[k], p.shareJoin[k] = join, p.memo.share(int(k), n+1)
 	}
 	p.choices[int(i)] = c
 
@@ -174,17 +189,19 @@ func (p *Profile) SetChoice(i UserID, c int) {
 	}
 }
 
-// Clone returns an independent copy of the profile sharing the instance and
-// the immutable share memo. All mutable cache state — counts, alpha-sums,
-// per-user cost terms, and the compensated Φ / ΣP_i accumulators — is
-// copied, so mutating the clone never perturbs the original (and vice
-// versa).
+// Clone returns an independent copy of the profile sharing the instance,
+// the immutable share memo, and the overlap masks. All mutable cache state
+// — counts, share caches, alpha-sums, per-user cost terms, and the
+// compensated Φ / ΣP_i accumulators — is copied, so mutating the clone
+// never perturbs the original (and vice versa).
 func (p *Profile) Clone() *Profile {
 	q := &Profile{
 		inst:        p.inst,
 		choices:     append([]int(nil), p.choices...),
 		nk:          append([]int(nil), p.nk...),
 		memo:        p.memo,
+		shareNow:    append([]float64(nil), p.shareNow...),
+		shareJoin:   append([]float64(nil), p.shareJoin...),
 		alphaSum:    append([]float64(nil), p.alphaSum...),
 		userCost:    append([]float64(nil), p.userCost...),
 		userPotCost: append([]float64(nil), p.userPotCost...),
@@ -204,7 +221,7 @@ func (p *Profile) Profit(i UserID) float64 {
 	r := u.Routes[p.choices[int(i)]]
 	var reward float64
 	for _, k := range r.Tasks {
-		reward += p.memo.share(int(k), p.nk[k])
+		reward += p.shareNow[k]
 	}
 	return u.Alpha*reward - u.Beta*p.inst.DetourCost(r) - u.Gamma*p.inst.CongestionCost(r)
 }
@@ -215,7 +232,7 @@ func (p *Profile) RewardOf(i UserID) float64 {
 	r := p.Route(i)
 	var reward float64
 	for _, k := range r.Tasks {
-		reward += p.memo.share(int(k), p.nk[k])
+		reward += p.shareNow[k]
 	}
 	return reward
 }
@@ -227,9 +244,9 @@ func (p *Profile) RewardOf(i UserID) float64 {
 // one participant (user i itself).
 func (p *Profile) ProfitIf(i UserID, c int) float64 { return p.ev.profitIf(i, c) }
 
-// ProfitDeltaIf returns P_i((c, s_-i)) − P_i(s) directly, summing shares
-// over the symmetric difference of the current and candidate routes only —
-// the Eq. 8 locality that makes a best-response probe O(|Δroutes|):
+// ProfitDeltaIf returns P_i((c, s_-i)) − P_i(s) directly, summing cached
+// shares over the symmetric difference of the current and candidate routes
+// only — the Eq. 8 locality that makes a best-response probe O(|Δroutes|):
 //
 //	ΔP_i = α_i·( Σ_{k∈L'\L} w_k(n_k+1)/(n_k+1) − Σ_{k∈L\L'} w_k(n_k)/n_k )
 //	       − β_i·(d(r')−d(r)) − γ_i·(b(r')−b(r)).
@@ -298,11 +315,14 @@ func (p *Profile) Tau(i UserID, c int) float64 {
 	return p.ev.profitDeltaIf(i, c) / u.Alpha
 }
 
-// MoveTasks returns B_i for a prospective move of user i to route index c:
-// the union of tasks covered by the current and the new route. Two users
-// whose B sets are disjoint can update concurrently without interfering
-// (Algorithm 3).
-func (p *Profile) MoveTasks(i UserID, c int) []task.ID { return p.ev.moveTasks(i, c) }
+// AppendMoveTasks appends B_i for a prospective move of user i to route
+// index c to dst and returns the extended slice: the union of tasks covered
+// by the current and the new route, current route first. Two users whose B
+// sets are disjoint can update concurrently without interfering
+// (Algorithm 3). Appending lets a caller pack many B sets into one buffer.
+func (p *Profile) AppendMoveTasks(dst []int, i UserID, c int) []int {
+	return p.ev.appendMoveTasks(dst, i, c)
+}
 
 // CoveredTasks returns the number of distinct tasks covered by at least one
 // user's chosen route (the numerator of the §5.3.2 coverage metric).

@@ -123,7 +123,7 @@ func TestQuickBestResponseIsArgmax(t *testing.T) {
 	}
 }
 
-// Property: MoveTasks returns a duplicate-free union of the two routes'
+// Property: AppendMoveTasks returns a duplicate-free union of the two routes'
 // task sets.
 func TestQuickMoveTasksUnion(t *testing.T) {
 	f := func(seed uint64, userRaw, moveRaw uint8) bool {
@@ -132,7 +132,7 @@ func TestQuickMoveTasksUnion(t *testing.T) {
 		p := RandomProfile(in, s.Child())
 		i := UserID(int(userRaw) % len(in.Users))
 		c := int(moveRaw) % len(in.Users[i].Routes)
-		got := p.MoveTasks(i, c)
+		got := p.AppendMoveTasks(nil, i, c)
 		want := map[int]bool{}
 		for _, k := range in.Users[i].Routes[p.Choice(i)].Tasks {
 			want[int(k)] = true
@@ -157,14 +157,12 @@ func TestQuickMoveTasksUnion(t *testing.T) {
 	}
 }
 
-// Property: scratch-mark epochs never corrupt results across many
-// interleaved ProfitIf / MoveTasks calls (regression guard for the mark
-// wraparound logic).
-func TestScratchMarkWraparound(t *testing.T) {
+// Property: ProfitIf on every candidate equals the profit the user really
+// gets after the move is applied, repeatedly, with probes interleaved.
+func TestProfitIfMatchesAppliedMove(t *testing.T) {
 	s := rng.New(77)
 	in := RandomInstance(DefaultRandomConfig(4, 8), s.Child())
 	p := RandomProfile(in, s.Child())
-	p.ev.mark = math.MaxInt32 - 3 // force an imminent wrap
 	for trial := 0; trial < 10; trial++ {
 		for i := range in.Users {
 			for c := range in.Users[i].Routes {
@@ -172,7 +170,7 @@ func TestScratchMarkWraparound(t *testing.T) {
 				q.SetChoice(UserID(i), c)
 				want := q.Profit(UserID(i))
 				if got := p.ProfitIf(UserID(i), c); math.Abs(got-want) > 1e-9 {
-					t.Fatalf("wraparound corrupted ProfitIf(%d,%d): %v != %v", i, c, got, want)
+					t.Fatalf("ProfitIf(%d,%d) = %v, applied move gives %v", i, c, got, want)
 				}
 			}
 		}

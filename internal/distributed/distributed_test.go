@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -237,6 +238,45 @@ func TestAgentRestart(t *testing.T) {
 	}
 	if !profileOf(t, in, stats.Choices).IsNash() {
 		t.Fatal("restart run not Nash")
+	}
+}
+
+// TestPlatformRejectsOutOfRangeTask feeds the platform a request whose
+// B_i names a task the instance does not have. PUU selection indexes its
+// taken-task marks by task ID, so the platform must refuse the request as
+// a protocol error instead of passing it on.
+func TestPlatformRejectsOutOfRangeTask(t *testing.T) {
+	in := randomInstance(5, 1, 4)
+	for _, bad := range []int{in.NumTasks(), -1} {
+		pc, ac := ChanPair(8)
+		plat, err := New(in, []Conn{pc}, WithPolicy(PUU))
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			c := WithSeq(ac, 0)
+			_ = c.Send(&wire.Message{Kind: wire.KindHello, Hello: &wire.Hello{User: 0}})
+			if _, err := c.Recv(); err != nil { // Init
+				return
+			}
+			_ = c.Send(&wire.Message{Kind: wire.KindDecision, Decision: &wire.Decision{Slot: 0, Route: 0}})
+			if _, err := c.Recv(); err != nil { // SlotInfo for slot 1
+				return
+			}
+			_ = c.Send(&wire.Message{Kind: wire.KindRequest, Request: &wire.Request{
+				Slot: 1, HasUpdate: true, Route: 0, Tau: 1, B: []int{bad},
+			}})
+			// A platform that let the request through grants it; hang up
+			// so the run fails instead of waiting for a decision.
+			if _, err := c.Recv(); err == nil {
+				ac.Close()
+			}
+		}()
+		_, err = plat.Run()
+		ac.Close()
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("B_i = [%d]: platform error %v, want an out-of-range task refusal", bad, err)
+		}
 	}
 }
 

@@ -84,6 +84,12 @@ func TestCrashRecovery(t *testing.T) {
 	if !strings.Contains(c.shards[1].out.String(), "resumed") {
 		t.Errorf("restarted shard did not report a recovery rejoin:\n%s", c.shards[1].out.String())
 	}
+	// The survivors' links to shard 1 were re-established after the crash.
+	for _, k := range []int{0, 2} {
+		if n := peerReconnects(t, c.shards[k]); n == 0 {
+			t.Errorf("shard %d reports 0 peer reconnects after its peer was restarted:\n%s", k, c.shards[k].out.String())
+		}
+	}
 
 	// Exact count-store convergence across the fault: all three replicas
 	// must print the identical final count vector.

@@ -271,6 +271,25 @@ func countsLine(t *testing.T, p *proc) string {
 	return ""
 }
 
+// peerReconnects parses the peer-reconnect count from a shard's "node"
+// summary line.
+func peerReconnects(t *testing.T, p *proc) int {
+	t.Helper()
+	for _, line := range strings.Split(p.out.String(), "\n") {
+		if !strings.HasPrefix(line, "node") {
+			continue
+		}
+		var shard, shards, batches, reconnects int
+		if _, err := fmt.Sscanf(strings.TrimSpace(strings.TrimPrefix(line, "node")),
+			"shard %d/%d, %d gossip batches, %d peer reconnects", &shard, &shards, &batches, &reconnects); err != nil {
+			t.Fatalf("%s: unparsable node line %q: %v", p.name, line, err)
+		}
+		return reconnects
+	}
+	t.Fatalf("%s: no node line in output:\n%s", p.name, p.out.String())
+	return 0
+}
+
 // userRoutes parses the per-user route lines from a shard's output into
 // the given choices vector.
 func userRoutes(t *testing.T, p *proc, choices []int) {

@@ -161,10 +161,14 @@ type nodeRun struct {
 // set), accepts its owned users' agent connections on agentLn, and drives
 // the symmetric federated protocol to completion. It takes ownership of
 // both listeners and closes them on return.
-func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions) (NodeStats, error) {
+//
+// The stats result is named: the deferred counter reads below (traffic,
+// peer reconnects) must land after the return statement has copied
+// f.stats into it.
+func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions) (stats NodeStats, err error) {
 	defer agentLn.Close()
 	defer peerLn.Close()
-	stats := NodeStats{Shard: opts.Shard, Shards: opts.Shards}
+	stats = NodeStats{Shard: opts.Shard, Shards: opts.Shards}
 	if err := in.Validate(); err != nil {
 		return stats, fmt.Errorf("distributed: %w", err)
 	}
@@ -231,7 +235,7 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 	defer f.mesh.close()
 	defer func() {
 		for _, l := range f.mesh.links {
-			f.stats.Reconnects += f.mesh.status(l).Reconnects
+			stats.Reconnects += f.mesh.status(l).Reconnects
 		}
 	}()
 	if err := f.mesh.awaitConnected(); err != nil {
@@ -267,8 +271,8 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 		return f.stats, fmt.Errorf("distributed: shard %d: %w", opts.Shard, err)
 	}
 	defer func() {
-		f.stats.MessagesSent = f.plat.ctr.Sent()
-		f.stats.MessagesReceived = f.plat.ctr.Recv()
+		stats.MessagesSent = f.plat.ctr.Sent()
+		stats.MessagesReceived = f.plat.ctr.Recv()
 	}()
 	if err := f.plat.runInit(); err != nil {
 		return f.stats, err

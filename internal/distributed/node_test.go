@@ -214,6 +214,22 @@ func TestNodeFederationChoices(t *testing.T) {
 	}
 }
 
+// TestNodeStatsCounters is the regression test for ServeNode's traffic
+// counters: they are filled by defers, which must write the returned
+// stats rather than a struct the return statement has already copied.
+func TestNodeStatsCounters(t *testing.T) {
+	_, stats := runNodeFederation(t, nodeTestInstance(), 2, PUU)
+	for k, st := range stats {
+		if !st.Converged {
+			t.Fatalf("node %d did not converge", k)
+		}
+		if st.MessagesSent == 0 || st.MessagesReceived == 0 {
+			t.Errorf("node %d reports %d messages sent, %d received after a converged run",
+				k, st.MessagesSent, st.MessagesReceived)
+		}
+	}
+}
+
 // TestFrontDoorRouting runs a 2-node federation behind the front door:
 // every agent dials the single front-door address, the router places it on
 // its owning shard, and the protocol still converges end to end.

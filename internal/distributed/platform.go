@@ -418,6 +418,12 @@ func (p *Platform) collectRequests(slot int) ([]engine.Request, error) {
 			return nil, fmt.Errorf("distributed: user %d replied for slot %d in slot %d", p.users[li], r.Slot, slot)
 		}
 		if r.HasUpdate {
+			// SelectPUU marks B's tasks in a slice indexed by task ID.
+			for _, k := range r.B {
+				if k < 0 || k >= p.in.NumTasks() {
+					return nil, fmt.Errorf("distributed: user %d requested task %d outside [0,%d)", p.users[li], k, p.in.NumTasks())
+				}
+			}
 			requests = append(requests, engine.Request{
 				User: core.UserID(p.users[li]), Route: r.Route, Tau: r.Tau, B: r.B,
 			})

@@ -7,8 +7,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
@@ -257,18 +259,41 @@ func collectRequests(p *core.Profile, s *rng.Stream, withMeta bool) []Request {
 		if len(delta) == 0 {
 			continue
 		}
-		route := delta[s.Intn(len(delta))]
-		req := Request{User: u, Route: route}
-		if withMeta {
-			req.Tau = p.Tau(u, route)
-			for _, k := range p.MoveTasks(u, route) {
-				req.B = append(req.B, int(k))
-			}
+		reqs = append(reqs, Request{User: u, Route: delta[s.Intn(len(delta))]})
+	}
+	if withMeta {
+		// The B sets are packed back to back into arena chunks. A chunk
+		// never regrows: a B that might not fit starts a new one, sized
+		// for what the remaining B sets can need at most, so each B can be
+		// cut from its chunk as soon as it is written.
+		bound := func(r *Request) int { // |B_i| ≤ |L_cur| + |L_new|
+			return len(p.Route(r.User).Tasks) + len(p.Instance().Users[r.User].Routes[r.Route].Tasks)
 		}
-		reqs = append(reqs, req)
+		left := 0
+		for j := range reqs {
+			left += bound(&reqs[j])
+		}
+		var arena []int
+		for j := range reqs {
+			r := &reqs[j]
+			r.Tau = p.Tau(r.User, r.Route)
+			b := bound(r)
+			if cap(arena)-len(arena) < b {
+				arena = make([]int, 0, max(b, min(arenaChunk, left)))
+			}
+			left -= b
+			start := len(arena)
+			arena = p.AppendMoveTasks(arena, r.User, r.Route)
+			r.B = arena[start:len(arena):len(arena)]
+		}
 	}
 	return reqs
 }
+
+// arenaChunk is the size, in task IDs, of the chunks collectRequests packs
+// B sets into: 32 KiB, the largest small-object size class, so chunks are
+// recycled like ordinary small objects rather than as large spans.
+const arenaChunk = 4096
 
 // bestResponseSets evaluates Δ_i for every user across parallel shards.
 // Shard w owns users w, w+shards, w+2·shards, …, so each output slot is
@@ -283,9 +308,15 @@ func bestResponseSets(p *core.Profile) [][]int {
 	if max := (n + 31) / 32; shards > max {
 		shards = max // keep ≥32 users per shard
 	}
+	// Evaluators are made before the fan-out: the first one builds the
+	// instance's overlap masks, outside the parallel section.
+	evs := make([]*core.Evaluator, shards)
+	for w := range evs {
+		evs[w] = p.NewEvaluator()
+	}
 	// The shard body never errors; ForEach's error return is vacuous here.
 	_ = parallel.ForEach(shards, shards, func(w int) error {
-		ev := p.NewEvaluator()
+		ev := evs[w]
 		for i := w; i < n; i += shards {
 			out[i] = ev.BestResponseSet(core.UserID(i))
 		}
@@ -299,6 +330,11 @@ func bestResponseSets(p *core.Profile) [][]int {
 // without applying any of them. withMeta additionally fills each request's
 // τ_i and B_i, as the PUU and BUAU policies require. Exported for
 // benchmarks and external tooling; policies use the same path internally.
+//
+// The B slices of one call alias a per-call arena: they are packed back to
+// back into shared chunks, each B a capacity-limited sub-slice, so
+// appending to a B copies it out rather than overwriting the next
+// request's tasks.
 func Requests(p *core.Profile, s *rng.Stream, withMeta bool) []Request {
 	return collectRequests(p, s, withMeta)
 }
@@ -354,39 +390,36 @@ func (puu) SelectAndUpdate(p *core.Profile, s *rng.Stream) (int, []core.UserID) 
 // SelectPUU implements the greedy core of Algorithm 3 on a request set: sort
 // by δ_i = τ_i/|B_i| non-ascending (a move touching no tasks interferes with
 // nothing and has δ = +Inf, sorted first), then admit requests whose B sets
-// do not intersect the union of already-admitted B sets. Exported for direct
-// testing of Theorem 3's guarantee.
+// do not intersect the union of already-admitted B sets. The sort is stable,
+// so ties keep request (user) order and the selection is reproducible.
+// Task IDs in B must be non-negative: admitted tasks are marked in a slice
+// indexed by ID. Exported for direct testing of Theorem 3's guarantee.
 func SelectPUU(reqs []Request) []Request {
+	delta := make([]float64, len(reqs))
+	maxTask := -1
+	for i, r := range reqs {
+		delta[i] = math.Inf(1)
+		if len(r.B) > 0 {
+			delta[i] = r.Tau / float64(len(r.B))
+		}
+		for _, k := range r.B {
+			maxTask = max(maxTask, k)
+		}
+	}
 	idx := make([]int, len(reqs))
 	for i := range idx {
 		idx[i] = i
 	}
-	delta := func(r Request) float64 {
-		if len(r.B) == 0 {
-			return math.Inf(1)
-		}
-		return r.Tau / float64(len(r.B))
-	}
-	// Insertion sort by non-ascending δ (request counts are small, and ties
-	// keep user order deterministic for reproducibility).
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && delta(reqs[idx[j]]) > delta(reqs[idx[j-1]]); j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	taken := map[int]bool{}
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(delta[b], delta[a]) })
+	taken := make([]bool, maxTask+1)
 	var out []Request
-	for _, ii := range idx {
-		r := reqs[ii]
-		conflict := false
+admit:
+	for _, i := range idx {
+		r := reqs[i]
 		for _, k := range r.B {
 			if taken[k] {
-				conflict = true
-				break
+				continue admit
 			}
-		}
-		if conflict {
-			continue
 		}
 		for _, k := range r.B {
 			taken[k] = true
