@@ -24,16 +24,19 @@ race:
 
 # Chaos/soak suite under the race detector: seeded fault injection, agent
 # crash-and-reconnect, the >=100-run soak sweep (TestChaosSoak is skipped
-# by -short elsewhere; here it runs in full), and the full multi-process
-# multi-node harness including the kill -9 crash/recovery soak.
+# by -short elsewhere; here it runs in full), the federated chaos suite
+# repeated (connection-ownership races show only under repeated, loaded
+# runs), and the full multi-process multi-node harness including the
+# kill -9 crash/recovery soak.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestAsyncPotential' -count=1 ./internal/distributed
+	$(GO) test -race -count=3 -run 'TestChaosFederated' ./internal/distributed
 	$(GO) test -race -count=1 -timeout 600s ./internal/distributed/e2e
 
 # Multi-process soak of the multi-node TCP federation on its own: real
 # platformd/useragent binaries, K-shard clusters behind the front door,
-# DET determinism against the in-process federation, SIGTERM shutdown,
-# and the kill -9 crash/recovery cycle, repeated to shake out timing.
+# DET determinism against the standalone platform, SIGTERM shutdown, and
+# the kill -9 crash/recovery cycle, repeated to shake out timing.
 soak-multinode:
 	$(GO) test -race -count=5 -timeout 600s ./internal/distributed/e2e
 
@@ -109,12 +112,13 @@ bench-wire:
 	$(GO) run ./cmd/benchcore -suite wire -benchtime $(BENCHTIME) \
 		-min-wire-speedup 3 -gate-wire-allocs -wire-o $(BENCH_WIRE_OUT)
 
-# Machine-readable baseline for the sharded federation: the full in-process
-# protocol at K in {1,2,4,8} shards over the same M-user world, recording
-# aggregate shard-slot throughput, written to BENCH_federation.json. Fails
-# if the K=4 federation is <2x the K=1 slot throughput (the coordination +
-# gossip tax must stay under half the ideal xK scaling). The committed
-# baseline uses FED_M=50000; the ci smoke run shrinks the world.
+# Machine-readable baseline for the sharded federation: the in-process
+# federation (K ServeNode shards) at K in {1,2,4,8} over the same M-user
+# world, recording aggregate shard-slot throughput over each run's wall
+# clock, written to BENCH_federation.json. Fails if the K=4 federation is
+# <2x the K=1 slot throughput (the request-broadcast + gossip tax must
+# stay under half the ideal xK scaling). The committed baseline uses
+# FED_M=50000; the ci smoke run shrinks the world.
 BENCH_FED_OUT ?= BENCH_federation.json
 FED_M ?= 50000
 FED_ROUNDS ?= 10

@@ -247,7 +247,7 @@ func main() {
 
 		for _, e := range rep.Entries {
 			fmt.Printf("Federation/K%-2d M=%-7d %3d rounds %8.3f s %12.1f slots/sec %9d gossip batches\n",
-				e.Shards, rep.M, e.Rounds, e.SlotSeconds, e.SlotsPerSec, e.GossipBatches)
+				e.Shards, rep.M, e.Rounds, e.WallSeconds, e.SlotsPerSec, e.GossipBatches)
 		}
 		for _, s := range rep.Speedups {
 			fmt.Printf("speedup federation K=%-2d %8.2fx (K=1 %.1f slots/sec, K=%d %.1f slots/sec)\n",

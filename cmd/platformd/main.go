@@ -13,18 +13,14 @@
 //	# then launch 8 agents:
 //	for i in $(seq 0 7); do useragent -addr :7700 -user $i -dataset Shanghai -seed 9 -users 8 -tasks 20 & done
 //
-// With -shards K the platform runs as a K-shard federation IN ONE
-// process: users are partitioned spatially, each shard drives the slot
-// protocol for its own users, and the shared per-task counts are
-// replicated shard-to-shard by epoch-stamped gossip. Agents connect
-// exactly as before; with -http the shard topology is served at
-// /api/v1/shards.
-//
-// With -shard k/K the process runs ONE node of a multi-node federation:
-// the peer mesh (one TCP link per peer pair, addresses from -peers) carries
-// request broadcasts, gossip batches, and recovery snapshots, while -addr
-// keeps serving this node's own agents. A crashed node rejoins with
-// -resume, replaying the replicated count store from any live peer:
+// With -shard k/K the process runs ONE node of a K-node federation: users
+// are partitioned spatially, each node drives the slot protocol for its
+// own users, and the peer mesh (one TCP link per peer pair, addresses from
+// -peers) carries request broadcasts, gossip batches of the shared
+// per-task counts, and recovery snapshots, while -addr keeps serving this
+// node's own agents. With -http the shard topology is served at
+// /api/v1/shards. A crashed node rejoins with -resume, replaying the
+// replicated count store from any live peer:
 //
 //	platformd -shard 0/3 -peers :7801,:7802,:7803 -addr :7700 -policy PUU &
 //	platformd -shard 1/3 -peers :7801,:7802,:7803 -addr :7710 -policy PUU &
@@ -144,7 +140,6 @@ func main() {
 		tasks     = flag.Int("tasks", 20, "number of sensing tasks")
 		policy    = flag.String("policy", "SUU", "user update selection: SUU or PUU")
 		muxFlag   = flag.Int("mux", 0, "accept this many multiplexed agent connections (see useragent -mux) instead of one TCP connection per agent; 0 = per-agent connections")
-		shards    = flag.Int("shards", 0, "partition users spatially across this many platform shards (federated slot loops with gossip-replicated counts); 0 or 1 = single platform")
 		shardSpec = flag.String("shard", "", "run as node k of a K-node multi-node federation, written k/K (requires -peers)")
 		peers     = flag.String("peers", "", "comma-separated peer-mesh addresses for all K shards, indexed by shard (with -shard); this node listens on its own entry")
 		resume    = flag.Bool("resume", false, "rejoin a running federation after a crash, recovering the count store from a live peer (with -shard)")
@@ -166,16 +161,12 @@ func main() {
 	)
 	flag.Parse()
 
-	if *shards > 1 && *muxFlag > 0 {
-		fmt.Fprintln(os.Stderr, "platformd: -shards and -mux cannot be combined")
+	if *shardSpec != "" && (*muxFlag > 0 || *frontdoor != "") {
+		fmt.Fprintln(os.Stderr, "platformd: -shard cannot be combined with -mux or -frontdoor")
 		os.Exit(2)
 	}
-	if *shardSpec != "" && (*shards > 1 || *muxFlag > 0 || *frontdoor != "") {
-		fmt.Fprintln(os.Stderr, "platformd: -shard cannot be combined with -shards, -mux, or -frontdoor")
-		os.Exit(2)
-	}
-	if *frontdoor != "" && (*shards > 1 || *muxFlag > 0) {
-		fmt.Fprintln(os.Stderr, "platformd: -frontdoor cannot be combined with -shards or -mux")
+	if *frontdoor != "" && *muxFlag > 0 {
+		fmt.Fprintln(os.Stderr, "platformd: -frontdoor cannot be combined with -mux")
 		os.Exit(2)
 	}
 	if *shardSpec == "" && (*peers != "" || *resume || *transcr != "" || *slotDelay != 0) {
@@ -362,19 +353,6 @@ func main() {
 		var ns distributed.NodeStats
 		ns, err = distributed.ServeNode(ln, peerLn, in, nopts)
 		stats, node = ns.RunStats, &ns
-	case *shards > 1:
-		fopts := distributed.FederatedOptions{Shards: *shards, Platform: pcfg}
-		if mon != nil {
-			fopts.OnTopology = mon.SetTopology
-			fopts.ShardObserver = mon.ShardObserver()
-		}
-		var fs distributed.FederatedStats
-		fs, err = distributed.ServeTCPFederated(ln, in, fopts)
-		stats = fs.RunStats
-		if err == nil {
-			fmt.Printf("federation     %d shards, %d gossip batches (max peer lag %d)\n",
-				fs.Shards, fs.GossipBatches, fs.MaxPeerLag)
-		}
 	case *muxFlag > 0:
 		stats, err = distributed.ServeTCPMux(ln, in, pcfg, *muxFlag)
 	default:

@@ -12,17 +12,18 @@ import (
 )
 
 // This file is the federation suite (BENCH_federation.json): it runs the
-// full in-process distributed protocol — one agent goroutine per user,
-// channel transports, gossip over the binary wire codec — at several shard
-// counts K over the same M-user instance and records slot throughput.
+// in-process federation — K ServeNode shards meshed over loopback TCP, one
+// agent goroutine per user on channel transports — at several shard counts
+// K over the same M-user instance and records slot throughput.
 //
 // The recorded metric is aggregate shard-slot throughput: per-shard slot
-// commits per second summed across the federation. One federated round
-// commits K shard slots, each serving M/K users, so the ideal scaling is
-// ×K — a shard slot is K times cheaper than a global slot. The CI floor
-// (≥2× at K=4 vs K=1) therefore bounds the federation's coordination tax:
-// partitioning, the global selection merge, and the K·(K−1) gossip batches
-// per barrier may together consume at most half the ideal scaling. The
+// commits per second summed across the federation, over each run's whole
+// wall clock (init handshake included). One federated round commits K
+// shard slots, each serving M/K users, so the ideal scaling is ×K — a
+// shard slot is K times cheaper than a global slot. The CI floor (≥2× at
+// K=4 vs K=1) therefore bounds the federation's coordination tax:
+// partitioning, the request broadcast, and the K·(K−1) gossip batches per
+// barrier may together consume at most half the ideal scaling. The
 // suite runs a fixed number of rounds far from equilibrium (deterministic
 // agents, PUU selection), so every shard count measures the identical
 // workload and a no-convergence exit is the expected outcome, not a
@@ -36,15 +37,16 @@ type FederationEntry struct {
 	Rounds     int  `json:"rounds"`
 	ShardSlots int  `json:"shard_slots"`
 	Converged  bool `json:"converged"`
-	// SlotSeconds is the wall time of the slot loop (init handshake
-	// excluded); SlotsPerSec = ShardSlots / SlotSeconds.
-	SlotSeconds   float64 `json:"slot_seconds"`
-	SlotsPerSec   float64 `json:"slots_per_sec"`
-	GossipBatches int     `json:"gossip_batches"`
-	GossipCounts  int     `json:"gossip_counts"`
-	MessagesSent  int     `json:"messages_sent"`
-	MessagesRecv  int     `json:"messages_received"`
-	TotalUpdates  int     `json:"total_updates"`
+	// WallSeconds is the run's wall time, init handshake included;
+	// SlotsPerSec = ShardSlots / WallSeconds.
+	WallSeconds float64 `json:"wall_seconds"`
+	SlotsPerSec float64 `json:"slots_per_sec"`
+	// GossipBatches counts peer delta batches ingested, summed over
+	// shards.
+	GossipBatches int `json:"gossip_batches"`
+	MessagesSent  int `json:"messages_sent"`
+	MessagesRecv  int `json:"messages_received"`
+	TotalUpdates  int `json:"total_updates"`
 }
 
 // FederationSpeedup records the throughput ratio of one shard count
@@ -77,7 +79,7 @@ type FederationReport struct {
 // for the speedup ratios to be recorded.
 func RunFederationSuite(m, rounds int, ks []int) (FederationReport, error) {
 	rep := FederationReport{
-		Schema:        "repro/bench-federation/v1",
+		Schema:        "repro/bench-federation/v2",
 		GeneratedUnix: time.Now().Unix(),
 		GoVersion:     runtime.Version(),
 		GOOS:          runtime.GOOS,
@@ -91,6 +93,7 @@ func RunFederationSuite(m, rounds int, ks []int) (FederationReport, error) {
 	in := core.RandomInstance(core.DefaultRandomConfig(m, m), s.Child())
 	rep.Tasks = in.NumTasks()
 	for _, k := range ks {
+		start := time.Now()
 		stats, err := distributed.RunFederatedInProcess(in, distributed.FederatedOptions{
 			Shards: k,
 			Platform: distributed.PlatformConfig{
@@ -99,23 +102,25 @@ func RunFederationSuite(m, rounds int, ks []int) (FederationReport, error) {
 				MaxSlots: rounds,
 			},
 		}, distributed.InProcessOptions{AgentSeedBase: 500, Deterministic: true})
+		wall := time.Since(start).Seconds()
 		if err != nil && !errors.Is(err, distributed.ErrNoConvergence) {
 			return rep, fmt.Errorf("federation bench K=%d: %w", k, err)
 		}
 		e := FederationEntry{
-			Shards:        k,
-			Rounds:        stats.Slots,
-			ShardSlots:    stats.Slots * k,
-			Converged:     stats.Converged,
-			SlotSeconds:   stats.SlotSeconds,
-			GossipBatches: stats.GossipBatches,
-			GossipCounts:  stats.GossipCounts,
-			MessagesSent:  stats.MessagesSent,
-			MessagesRecv:  stats.MessagesReceived,
-			TotalUpdates:  stats.TotalUpdates,
+			Shards:       k,
+			Rounds:       stats.Slots,
+			ShardSlots:   stats.Slots * k,
+			Converged:    stats.Converged,
+			WallSeconds:  wall,
+			MessagesSent: stats.MessagesSent,
+			MessagesRecv: stats.MessagesReceived,
+			TotalUpdates: stats.TotalUpdates,
 		}
-		if e.SlotSeconds > 0 {
-			e.SlotsPerSec = float64(e.ShardSlots) / e.SlotSeconds
+		for _, ns := range stats.Nodes {
+			e.GossipBatches += ns.GossipBatches
+		}
+		if wall > 0 {
+			e.SlotsPerSec = float64(e.ShardSlots) / wall
 		}
 		rep.Entries = append(rep.Entries, e)
 	}

@@ -3,6 +3,7 @@ package distributed
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -50,16 +51,11 @@ type ChaosOptions struct {
 	// dedup, and tracing decorators stack on top of whatever Links returns.
 	Links func(user int) (platform, agent Conn, err error)
 	// Shards, when > 1, runs the federated platform path: users are
-	// partitioned spatially across Shards shard slot loops with counts
-	// replicated by epoch-stamped gossip (see RunFederated). The agent-side
-	// fault and crash machinery is unchanged; every shard rides out its own
-	// users' faults locally.
+	// partitioned spatially across Shards ServeNode shards meshed over
+	// loopback TCP (see RunFederatedInProcess). The agent-side fault and
+	// crash machinery is unchanged; every shard rides out its own users'
+	// faults locally. Platform.Observer must be unset.
 	Shards int
-	// GossipProfile decorates both ends of every shard-to-shard gossip
-	// link with seeded fault injection (duplicated batches, transient
-	// send/recv failures, delivery delays — i.e. shard-link stalls). Only
-	// meaningful when Shards > 1; DisconnectAfterOps is ignored.
-	GossipProfile FaultProfile
 }
 
 // DefaultMaxRestarts bounds per-agent restarts in RunChaos.
@@ -78,9 +74,9 @@ type ChaosStats struct {
 	Restarts int
 	// Faults tallies every injected fault across all links.
 	Faults map[FaultKind]int
-	// Federated carries the federation-level statistics (gossip volume,
-	// per-shard slot records) when the run used Shards > 1; nil otherwise.
-	Federated *FederatedStats
+	// Nodes holds each shard's own view of the run when it used
+	// Shards > 1; nil otherwise.
+	Nodes []NodeStats
 }
 
 // RunChaos runs the full distributed protocol in-process under seeded fault
@@ -134,47 +130,40 @@ func runChaos(in *core.Instance, opts ChaosOptions) (ChaosStats, error) {
 	}
 
 	var stats ChaosStats
-	// Record Φ after init and after every slot that changed the profile.
-	// The platform invokes observers sequentially, so no lock is needed for
-	// the trace itself.
-	userObserver := opts.Platform.Observer
-	opts.Platform.ObservePotential = true
-	opts.Platform.Observer = func(o Observation) {
-		if o.PotentialValid {
-			stats.Potentials = append(stats.Potentials, o.Potential)
-		}
-		if userObserver != nil {
-			userObserver(o)
-		}
-	}
-
-	// runPlatform starts the platform side: the classic single platform, or
-	// — when Shards > 1 — the federated coordinator with fault-injected
-	// gossip links. Gossip fault schedules are seeded past the user-link
-	// seed space so they never collide with an agent link's schedule.
+	// runPlatform starts the platform side: the classic single platform,
+	// recording Φ after init and after every slot that changed the
+	// profile, or — when Shards > 1 — the federation, whose potential trace
+	// is replayed from its global transcript.
 	runPlatform := func() (RunStats, error) {
 		if opts.Shards > 1 {
-			gossipProf := opts.GossipProfile
-			gossipProf.DisconnectAfterOps = 0
-			fs, ferr := RunFederated(in, platConns, FederatedOptions{
-				Shards:   opts.Shards,
-				Platform: opts.Platform,
-				GossipLinks: func(a, b int) (Conn, Conn, error) {
-					// Buffered links: an injected duplicate batch must never
-					// block the sender until the next round's drain (a
-					// synchronous pipe would deadlock the barrier when two
-					// peers both hold an unread duplicate).
-					ca, cb := ChanPair(64)
-					pair := n + a*opts.Shards + b
-					fa := NewFaultConn(ca, gossipProf, faultSeed(opts.Seed, pair, 0), log).WithTracer(tr, a)
-					fb := NewFaultConn(cb, gossipProf, faultSeed(opts.Seed, pair, 1), log).WithTracer(tr, b)
-					return WithRetryTraced(fa, opts.Retry, tr, a), WithRetryTraced(fb, opts.Retry, tr, b), nil
-				},
-			})
-			stats.Federated = &fs
-			return fs.RunStats, ferr
+			fs, err := runNodes(in, FederatedOptions{Shards: opts.Shards, Platform: opts.Platform}, platConns)
+			stats.Nodes = fs.Nodes
+			if err != nil {
+				return fs.RunStats, err
+			}
+			final, pots, err := ReplayTranscript(in, fs.Transcript)
+			if err != nil {
+				return fs.RunStats, err
+			}
+			if !slices.Equal(final, fs.Choices) {
+				return fs.RunStats, errors.New("distributed: replayed transcript disagrees with the shards' final routes")
+			}
+			stats.Potentials = pots
+			return fs.RunStats, nil
 		}
-		plat, perr := New(in, platConns, WithConfig(opts.Platform))
+		// The platform invokes observers sequentially, so no lock is
+		// needed for the trace itself.
+		cfg := opts.Platform
+		cfg.ObservePotential = true
+		cfg.Observer = func(o Observation) {
+			if o.PotentialValid {
+				stats.Potentials = append(stats.Potentials, o.Potential)
+			}
+			if opts.Platform.Observer != nil {
+				opts.Platform.Observer(o)
+			}
+		}
+		plat, perr := New(in, platConns, WithConfig(cfg))
 		if perr != nil {
 			return RunStats{}, perr
 		}

@@ -9,12 +9,12 @@ import (
 )
 
 // This file is the federated chaos suite: the fault-injection harness of
-// chaos_test.go pointed at the sharded platform. Every run must satisfy
-// the same invariants as a standalone chaos run — potential ascent under
-// bounded-staleness counts, zero Nash gap at quiescence, the Theorem-4
-// slot bound — plus the federation-specific ones (full gossip barriers,
-// per-shard slot accounting), with the convergence anomaly detectors
-// armed.
+// chaos_test.go pointed at the sharded platform (K ServeNode shards).
+// Every run must satisfy the same invariants as a standalone chaos run —
+// potential ascent under bounded-staleness counts, zero Nash gap at
+// quiescence, the Theorem-4 slot bound — plus the federation-specific ones
+// (full gossip barriers, per-shard slot accounting, identical replicated
+// counts), with the convergence anomaly detectors armed.
 
 // newArmedTracer returns an enabled tracer with the anomaly detectors on;
 // the returned check fails the test if any anomaly tripped. The potential
@@ -44,31 +44,30 @@ func newArmedTracer(t *testing.T, seed uint64, desc string) (*tracing.Tracer, fu
 }
 
 // assertFederatedChaosInvariants layers the federation checks on top of
-// the standard chaos invariants.
+// the standard chaos invariants (whose potential trace RunChaos replays
+// from the global transcript).
 func assertFederatedChaosInvariants(t *testing.T, stats ChaosStats, shards int, seed uint64, desc string) {
 	t.Helper()
-	fs := stats.Federated
-	if fs == nil {
-		t.Fatalf("%s (seed %d): chaos run reported no federated stats", desc, seed)
+	if len(stats.Nodes) != shards {
+		t.Fatalf("%s (seed %d): %d shard stats, want %d", desc, seed, len(stats.Nodes), shards)
 	}
-	if fs.Shards != shards || len(fs.PerShard) != shards {
-		t.Fatalf("%s (seed %d): %d shards / %d per-shard entries, want %d", desc, seed, fs.Shards, len(fs.PerShard), shards)
-	}
-	// Every barrier crosses the full mesh at least once; duplicates can
-	// only add batches.
-	minBatches := (stats.Slots + 1) * shards * (shards - 1)
-	if fs.GossipBatches < minBatches {
-		t.Errorf("%s (seed %d): %d gossip batches ingested, want >= %d", desc, seed, fs.GossipBatches, minBatches)
-	}
-	// Theorem-4 slot bound per shard: no shard can run more improving
-	// slots than the global run committed.
 	perShardGrants := 0
-	for k := range fs.PerShard {
-		if fs.PerShard[k].Slots > stats.Slots {
-			t.Errorf("%s (seed %d): shard %d reports %d slots, global run had %d",
-				desc, seed, k, fs.PerShard[k].Slots, stats.Slots)
+	for k, ns := range stats.Nodes {
+		if !ns.Converged {
+			t.Errorf("%s (seed %d): shard %d did not converge", desc, seed, k)
 		}
-		perShardGrants += fs.PerShard[k].TotalUpdates
+		// Every shard commits every global slot, and every barrier
+		// takes one batch from each peer.
+		if ns.Slots != stats.Slots {
+			t.Errorf("%s (seed %d): shard %d reports %d slots, global run had %d", desc, seed, k, ns.Slots, stats.Slots)
+		}
+		if want := (stats.Slots + 1) * (shards - 1); ns.GossipBatches != want {
+			t.Errorf("%s (seed %d): shard %d ingested %d gossip batches, want %d", desc, seed, k, ns.GossipBatches, want)
+		}
+		if !reflect.DeepEqual(ns.Counts, stats.Nodes[0].Counts) {
+			t.Errorf("%s (seed %d): shard %d ended on different replicated counts", desc, seed, k)
+		}
+		perShardGrants += ns.TotalUpdates
 	}
 	if perShardGrants != stats.TotalUpdates {
 		t.Errorf("%s (seed %d): per-shard updates sum to %d, global %d",
@@ -77,7 +76,7 @@ func assertFederatedChaosInvariants(t *testing.T, stats ChaosStats, shards int, 
 }
 
 // TestChaosFederatedTransientFaults drives K-sharded runs through the
-// standard fault mixes on agent links AND gossip links simultaneously.
+// standard fault mixes on the agent links.
 func TestChaosFederatedTransientFaults(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		for _, cp := range chaosProfiles {
@@ -89,7 +88,6 @@ func TestChaosFederatedTransientFaults(t *testing.T) {
 					AgentSeedBase: 300 + seed,
 					Seed:          seed,
 					AgentProfile:  cp.prof,
-					GossipProfile: cp.prof,
 					Shards:        shards,
 				})
 				desc := "federated/" + cp.name
@@ -124,7 +122,6 @@ func TestChaosFederatedCrashReconnect(t *testing.T) {
 			AgentSeedBase: 400 + seed,
 			Seed:          seed,
 			AgentProfile:  FaultProfile{SendErrProb: 0.02, RecvErrProb: 0.02},
-			GossipProfile: FaultProfile{DupProb: 0.1},
 			CrashAgents:   crash,
 			Shards:        3,
 		})
@@ -140,38 +137,9 @@ func TestChaosFederatedCrashReconnect(t *testing.T) {
 	}
 }
 
-// TestChaosFederatedShardLinkStall injects heavy delivery delays on the
-// gossip mesh only: the barrier must wait out the stalls and converge
-// with the counts still exact at every round start.
-func TestChaosFederatedShardLinkStall(t *testing.T) {
-	seed := uint64(31)
-	in := randomInstance(900, 12, 8)
-	tr, checkAnomalies := newArmedTracer(t, seed, "federated/stall")
-	stats, err := RunChaos(in, ChaosOptions{
-		Platform:      PlatformConfig{Policy: PUU, Seed: seed, Tracer: tr},
-		AgentSeedBase: 30,
-		Seed:          seed,
-		GossipProfile: FaultProfile{
-			DelayProb: 0.5,
-			DelayMin:  time.Millisecond,
-			DelayMax:  5 * time.Millisecond,
-		},
-		Shards: 4,
-	})
-	if err != nil {
-		t.Fatalf("federated/stall (seed %d): %v", seed, err)
-	}
-	assertChaosInvariants(t, in, stats, seed, "federated/stall")
-	assertFederatedChaosInvariants(t, stats, 4, seed, "federated/stall")
-	checkAnomalies()
-	if stats.Faults[FaultDelay] == 0 {
-		t.Error("federated/stall: no delay faults fired on the gossip mesh")
-	}
-}
-
 // TestChaosFederatedDeterministicPerSeed replays a fully loaded federated
-// chaos run (agent faults, gossip faults, crashes) twice and demands
-// bit-identical outcomes.
+// chaos run (agent faults and crashes) twice and demands bit-identical
+// outcomes.
 func TestChaosFederatedDeterministicPerSeed(t *testing.T) {
 	in := randomInstance(41, 12, 10)
 	opts := ChaosOptions{
@@ -179,7 +147,6 @@ func TestChaosFederatedDeterministicPerSeed(t *testing.T) {
 		AgentSeedBase: 88,
 		Seed:          777,
 		AgentProfile:  FaultProfile{SendErrProb: 0.03, RecvErrProb: 0.03, DupProb: 0.1},
-		GossipProfile: FaultProfile{DupProb: 0.15, SendErrProb: 0.02},
 		CrashAgents:   map[int]int{3: 13, 8: 21},
 		Shards:        3,
 	}

@@ -29,12 +29,12 @@ func TestCrashRecovery(t *testing.T) {
 	const slotDelay = 100 * time.Millisecond
 
 	// Pin the runway: the kill lands a few rounds in, and the run must
-	// still be going then. The in-process reference tells us how many
-	// slots a clean run takes.
-	ref, err := distributed.RunFederatedInProcess(in, distributed.FederatedOptions{
-		Shards:   K,
-		Platform: distributed.PlatformConfig{Policy: distributed.Deterministic, Seed: 1},
-	}, distributed.InProcessOptions{AgentSeedBase: 1})
+	// still be going then. The standalone reference tells us how many
+	// slots a clean DET run takes at any shard count.
+	ref, err := distributed.RunInProcess(in, distributed.InProcessOptions{
+		Platform:      distributed.PlatformConfig{Policy: distributed.Deterministic, Seed: 1},
+		AgentSeedBase: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,14 +16,14 @@ import (
 	"repro/internal/metrics"
 )
 
-// expectedTranscript runs the in-process federation and renders its
-// observations in the node transcript format — the reference the TCP
-// cluster must reproduce byte for byte.
-func expectedTranscript(t *testing.T, in *core.Instance, K int) string {
+// expectedTranscript runs the standalone platform under DET and renders
+// its observations in the node transcript format — the reference the TCP
+// cluster must reproduce byte for byte at every shard count (DET picks the
+// lowest requesting user, whichever shard holds it).
+func expectedTranscript(t *testing.T, in *core.Instance) string {
 	t.Helper()
 	var buf bytes.Buffer
-	_, err := distributed.RunFederatedInProcess(in, distributed.FederatedOptions{
-		Shards: K,
+	_, err := distributed.RunInProcess(in, distributed.InProcessOptions{
 		Platform: distributed.PlatformConfig{
 			Policy: distributed.Deterministic,
 			Seed:   1,
@@ -39,9 +39,10 @@ func expectedTranscript(t *testing.T, in *core.Instance, K int) string {
 				}
 			},
 		},
-	}, distributed.InProcessOptions{AgentSeedBase: 1})
+		AgentSeedBase: 1,
+	})
 	if err != nil {
-		t.Fatalf("in-process federation: %v", err)
+		t.Fatalf("standalone platform: %v", err)
 	}
 	return buf.String()
 }
@@ -60,58 +61,35 @@ func splitTranscript(s string) (init []string, slots string) {
 	return init, strings.Join(slotLines, "\n")
 }
 
-// replayAndCheck replays a full transcript (init + slot sections) on a
-// core profile and asserts the paper's run invariants: the potential
-// ascends across every slot, the slot count respects the Theorem-4 bound
-// evaluated at the observed minimum ascent, and the final profile is a
-// Nash equilibrium (zero gap).
+// replayAndCheck replays a full transcript (init + slot sections) and
+// asserts the paper's run invariants: the potential ascends across every
+// slot, the slot count respects the Theorem-4 bound evaluated at the
+// observed minimum ascent, and the final profile is a Nash equilibrium
+// (zero gap).
 func replayAndCheck(t *testing.T, in *core.Instance, transcript string) {
 	t.Helper()
-	choices := make([]int, in.NumUsers())
-	for u := range choices {
-		choices[u] = -1
+	choices, pots, err := distributed.ReplayTranscript(in, transcript)
+	if err != nil {
+		t.Fatal(err)
 	}
-	type grant struct{ slot, user, route int }
-	var grants []grant
-	for _, line := range strings.Split(transcript, "\n") {
-		var u, r, s int
-		if n, _ := fmt.Sscanf(line, "init user %d route %d", &u, &r); n == 2 {
-			choices[u] = r
-			continue
+	dPhiMin := math.Inf(1)
+	for s := 1; s < len(pots); s++ {
+		dPhi := pots[s] - pots[s-1]
+		if dPhi <= 0 {
+			t.Errorf("slot %d: potential did not ascend (delta %g)", s, dPhi)
 		}
-		if n, _ := fmt.Sscanf(line, "slot %d user %d route %d", &s, &u, &r); n == 3 {
-			grants = append(grants, grant{s, u, r})
-		}
-	}
-	for u, c := range choices {
-		if c < 0 {
-			t.Fatalf("transcript has no init line for user %d", u)
+		if dPhi > 0 && dPhi < dPhiMin {
+			dPhiMin = dPhi
 		}
 	}
 	prof, err := core.NewProfile(in, choices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dPhiMin, lastSlot := math.Inf(1), 0
-	for i := 0; i < len(grants); {
-		slot := grants[i].slot
-		phi0 := prof.Potential()
-		for ; i < len(grants) && grants[i].slot == slot; i++ {
-			prof.SetChoice(core.UserID(grants[i].user), grants[i].route)
-		}
-		dPhi := prof.Potential() - phi0
-		if dPhi <= 0 {
-			t.Errorf("slot %d: potential did not ascend (delta %g)", slot, dPhi)
-		}
-		if dPhi > 0 && dPhi < dPhiMin {
-			dPhiMin = dPhi
-		}
-		lastSlot = slot
-	}
 	if !prof.IsNash() {
 		t.Error("replayed final profile is not a Nash equilibrium")
 	}
-	if len(grants) > 0 {
+	if lastSlot := len(pots) - 1; lastSlot > 0 {
 		eMin, _ := in.WeightBounds()
 		bound := metrics.ConvergenceBound(in, dPhiMin*eMin)
 		if float64(lastSlot) >= bound {
@@ -123,8 +101,7 @@ func replayAndCheck(t *testing.T, in *core.Instance, transcript string) {
 // TestDeterminismMatchesInProcess is the DET determinism regression: the
 // multi-process TCP federation's selection transcript must be
 // byte-identical on every node and byte-identical to the in-process
-// federation's — at K=1 (which the federated equivalence suite pins to a
-// standalone platform), and at K=2 and K=4 across real process and socket
+// standalone platform's, at K=1, 2 and 4 across real process and socket
 // boundaries.
 func TestDeterminismMatchesInProcess(t *testing.T) {
 	in, instance := e2eInstance(t)
@@ -134,7 +111,7 @@ func TestDeterminismMatchesInProcess(t *testing.T) {
 	}
 	for _, K := range shardCounts {
 		t.Run(fmt.Sprintf("K=%d", K), func(t *testing.T) {
-			want := expectedTranscript(t, in, K)
+			want := expectedTranscript(t, in)
 			wantInit, wantSlots := splitTranscript(want)
 
 			dir := t.TempDir()
@@ -160,7 +137,7 @@ func TestDeterminismMatchesInProcess(t *testing.T) {
 				gotInit = append(gotInit, init...)
 				gotSlots = append(gotSlots, slots)
 				if slots != wantSlots {
-					t.Errorf("shard %d slot transcript diverges from in-process run:\n got:\n%s\nwant:\n%s", k, slots, wantSlots)
+					t.Errorf("shard %d slot transcript diverges from the standalone platform:\n got:\n%s\nwant:\n%s", k, slots, wantSlots)
 				}
 			}
 			for u, a := range agents {

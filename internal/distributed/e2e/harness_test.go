@@ -3,8 +3,8 @@
 // run, spawns one OS process per shard (plus the front door and one per
 // agent), and asserts the protocol invariants — convergence, potential
 // ascent, the Theorem-4 slot bound, determinism against the in-process
-// federation, and crash recovery under kill -9 — against the processes'
-// actual output. Short mode (make ci) runs the determinism and shutdown
+// standalone platform, and crash recovery under kill -9 — against the
+// processes' actual output. Short mode (make ci) runs the determinism and shutdown
 // tests at K=2; the full run (make chaos / make soak-multinode) adds
 // K∈{1,4} and the crash/recovery soak.
 package e2e

@@ -2,11 +2,14 @@ package distributed
 
 import (
 	"errors"
-	"net"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/distributed/federation"
+	"repro/internal/metrics"
 )
 
 // TestFederatedConvergesToNash runs the federation at several shard counts
@@ -30,8 +33,8 @@ func TestFederatedConvergesToNash(t *testing.T) {
 			if !p.IsNash() {
 				t.Fatalf("%s K=%d: final profile is not Nash (gap %v)", policy, shards, p.NashGap())
 			}
-			if stats.Shards != shards || len(stats.PerShard) != shards {
-				t.Fatalf("%s K=%d: stats report %d shards / %d per-shard entries", policy, shards, stats.Shards, len(stats.PerShard))
+			if len(stats.Nodes) != shards {
+				t.Fatalf("%s K=%d: stats report %d shards", policy, shards, len(stats.Nodes))
 			}
 		}
 	}
@@ -111,14 +114,13 @@ func TestFederatedGossipExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Barriers: one after init plus one per committed slot; each crosses
-	// 4*3 links.
-	wantBatches := (stats.Slots + 1) * 4 * 3
-	if stats.GossipBatches != wantBatches {
-		t.Errorf("GossipBatches = %d, want %d (%d slots)", stats.GossipBatches, wantBatches, stats.Slots)
-	}
-	if stats.MaxPeerLag != 0 {
-		t.Errorf("MaxPeerLag = %d, want 0 at the barrier", stats.MaxPeerLag)
+	// Barriers: one after init plus one per committed slot; each takes
+	// one batch from each of a shard's 3 peers.
+	wantBatches := (stats.Slots + 1) * 3
+	for _, ns := range stats.Nodes {
+		if ns.GossipBatches != wantBatches {
+			t.Errorf("shard %d ingested %d gossip batches, want %d (%d slots)", ns.Shard, ns.GossipBatches, wantBatches, stats.Slots)
+		}
 	}
 	if len(shardObs) != stats.Slots*4 {
 		t.Errorf("%d shard observations, want %d", len(shardObs), stats.Slots*4)
@@ -132,38 +134,47 @@ func TestFederatedGossipExchange(t *testing.T) {
 	}
 }
 
-// TestFederatedObserverPotentialAscent arms the global observer with
-// potential evaluation and checks Theorem 2 carries over: the potential
-// never decreases across federated rounds.
+// TestFederatedObserverPotentialAscent replays the global transcript of
+// a federated run and checks the paper's run invariants carry over: the
+// potential ascends across every slot (Theorem 2), the slot count stays
+// under the Theorem-4 bound at the observed minimum ascent, and the run
+// ends on the shards' final routes with a zero Nash gap.
 func TestFederatedObserverPotentialAscent(t *testing.T) {
 	in := randomInstance(23, 18, 7)
-	var pots []float64
 	stats, err := RunFederatedInProcess(in, FederatedOptions{
-		Shards: 3,
-		Platform: PlatformConfig{
-			Policy: PUU, Seed: 3,
-			ObservePotential: true,
-			Observer: func(o Observation) {
-				if !o.PotentialValid {
-					t.Error("observation missing potential")
-				}
-				pots = append(pots, o.Potential)
-			},
-		},
+		Shards:   3,
+		Platform: PlatformConfig{Policy: PUU, Seed: 3},
 	}, InProcessOptions{AgentSeedBase: 4, Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pots) < 2 {
-		t.Fatalf("only %d observations", len(pots))
-	}
-	for i := 1; i < len(pots); i++ {
-		if pots[i] < pots[i-1]-1e-9 {
-			t.Fatalf("potential decreased at round %d: %v -> %v", i, pots[i-1], pots[i])
-		}
-	}
 	if !stats.Converged {
 		t.Fatal("did not converge")
+	}
+	choices, pots, err := ReplayTranscript(in, stats.Transcript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pots) != stats.Slots+1 || len(pots) < 2 {
+		t.Fatalf("%d potentials for %d slots", len(pots), stats.Slots)
+	}
+	dPhiMin := math.Inf(1)
+	for i := 1; i < len(pots); i++ {
+		d := pots[i] - pots[i-1]
+		if d <= 0 {
+			t.Fatalf("potential did not ascend in slot %d: %v -> %v", i, pots[i-1], pots[i])
+		}
+		dPhiMin = math.Min(dPhiMin, d)
+	}
+	eMin, _ := in.WeightBounds()
+	if bound := metrics.ConvergenceBound(in, dPhiMin*eMin); float64(stats.Slots) >= bound {
+		t.Errorf("%d slots >= Theorem-4 bound %v", stats.Slots, bound)
+	}
+	if !slices.Equal(choices, stats.Choices) {
+		t.Fatalf("replayed choices %v, shards ended on %v", choices, stats.Choices)
+	}
+	if gap := profileOf(t, in, choices).NashGap(); gap > core.Eps {
+		t.Fatalf("final Nash gap %g", gap)
 	}
 }
 
@@ -189,8 +200,8 @@ func TestFederatedExplicitPartition(t *testing.T) {
 		t.Fatalf("OnTopology saw %d shards", topo.Shards)
 	}
 	total := 0
-	for k := range stats.PerShard {
-		total += stats.PerShard[k].TotalUpdates
+	for _, ns := range stats.Nodes {
+		total += ns.TotalUpdates
 	}
 	if total != stats.TotalUpdates {
 		t.Errorf("per-shard updates sum to %d, global says %d", total, stats.TotalUpdates)
@@ -200,82 +211,22 @@ func TestFederatedExplicitPartition(t *testing.T) {
 	}
 }
 
-// TestFederatedTCP drives a 3-shard federation over real TCP connections
-// (the platformd -shards path): agents dial in, get identified by their
-// Hello, and the partitioned run must still land on Nash.
-func TestFederatedTCP(t *testing.T) {
-	in := randomInstance(43, 9, 6)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	type out struct {
-		stats FederatedStats
-		err   error
-	}
-	var topo federation.Partition
-	done := make(chan out, 1)
-	go func() {
-		stats, err := ServeTCPFederated(ln, in, FederatedOptions{
-			Shards:     3,
-			Platform:   PlatformConfig{Policy: PUU, Seed: 13},
-			OnTopology: func(p federation.Partition) { topo = p },
-		})
-		done <- out{stats, err}
-	}()
-	var wg sync.WaitGroup
-	agentErrs := make([]error, in.NumUsers())
-	for i := 0; i < in.NumUsers(); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			agentErrs[i] = DialTCP(ln.Addr().String(), AgentConfig{
-				User: i, Alpha: in.Users[i].Alpha, Beta: in.Users[i].Beta,
-				Gamma: in.Users[i].Gamma, Seed: uint64(i) + 19,
-			})
-		}(i)
-	}
-	wg.Wait()
-	res := <-done
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	for i, e := range agentErrs {
-		if e != nil {
-			t.Fatalf("agent %d: %v", i, e)
-		}
-	}
-	if !res.stats.Converged || res.stats.Shards != 3 {
-		t.Fatalf("TCP federation: converged=%v shards=%d", res.stats.Converged, res.stats.Shards)
-	}
-	if topo.Shards != 3 {
-		t.Fatalf("OnTopology saw %d shards", topo.Shards)
-	}
-	if !profileOf(t, in, res.stats.Choices).IsNash() {
-		t.Fatal("TCP federation not Nash")
-	}
-}
-
 // TestFederatedOptionValidation covers the construction errors.
 func TestFederatedOptionValidation(t *testing.T) {
 	in := randomInstance(31, 6, 4)
-	conns := make([]Conn, 6)
-	for i := range conns {
-		conns[i], _ = ChanPair(1)
-	}
-	if _, err := RunFederated(in, conns[:3], FederatedOptions{Shards: 2}); err == nil {
-		t.Error("conn/user count mismatch accepted")
-	}
 	bad, _ := federation.ByIndex(6, 2)
-	if _, err := RunFederated(in, conns, FederatedOptions{Shards: 3, Partition: bad}); err == nil {
-		t.Error("partition/shard count mismatch accepted")
+	cases := []struct {
+		name string
+		opts FederatedOptions
+	}{
+		{"partition/shard count mismatch", FederatedOptions{Shards: 3, Partition: bad}},
+		{"unknown policy", FederatedOptions{Shards: 2, Platform: PlatformConfig{Policy: "bogus"}}},
+		{"global observer", FederatedOptions{Shards: 2, Platform: PlatformConfig{Observer: func(Observation) {}}}},
 	}
-	if _, err := RunFederatedInProcess(in, FederatedOptions{
-		Shards:   2,
-		Platform: PlatformConfig{Policy: "bogus"},
-	}, InProcessOptions{}); err == nil {
-		t.Error("unknown policy accepted")
+	for _, tc := range cases {
+		if _, err := RunFederatedInProcess(in, tc.opts, InProcessOptions{}); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -292,5 +243,43 @@ func TestFederatedNoConvergenceSentinel(t *testing.T) {
 	}
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("error %v does not wrap ErrNoConvergence", err)
+	}
+}
+
+// TestTranscriptRejectsMalformed checks the replay and the merge refuse
+// records they cannot vouch for instead of replaying a wrong trajectory.
+func TestTranscriptRejectsMalformed(t *testing.T) {
+	in := randomInstance(53, 2, 4)
+	init := "init user 0 route 0\ninit user 1 route 0\n"
+	for name, tr := range map[string]string{
+		"missing init":      "init user 0 route 0\n",
+		"unknown user":      init + "slot 1 user 2 route 0\n",
+		"unknown route":     init + "slot 1 user 1 route 99\n",
+		"slot gap":          init + "slot 2 user 1 route 1\n",
+		"init after slots":  init + "slot 1 user 1 route 1\ninit user 0 route 1\n",
+		"unparsable line":   init + "slot one user 1 route 1\n",
+		"slot numbered 0":   init + "slot 0 user 1 route 1\n",
+		"slots out of step": init + "slot 1 user 1 route 1\nslot 3 user 0 route 1\n",
+	} {
+		if _, _, err := ReplayTranscript(in, tr); err == nil {
+			t.Errorf("%s: replay accepted %q", name, tr)
+		}
+	}
+	for tr, want := range map[string]int{init: 1, init + "slot 1 user 1 route 1\nslot 2 user 0 route 1\n": 3} {
+		if _, pots, err := ReplayTranscript(in, tr); err != nil || len(pots) != want {
+			t.Errorf("replay of %q: %d potentials, want %d (err %v)", tr, len(pots), want, err)
+		}
+	}
+
+	part, _ := federation.ByIndex(2, 2)
+	shard0 := "init user 0 route 0\nslot 1 user 1 route 1\n"
+	if got, err := globalTranscript(part, []string{shard0, "init user 1 route 0\nslot 1 user 1 route 1\n"}); err != nil || got != init+"slot 1 user 1 route 1\n" {
+		t.Errorf("merge = %q, %v", got, err)
+	}
+	if _, err := globalTranscript(part, []string{shard0, "init user 1 route 0\nslot 1 user 1 route 0\n"}); err == nil {
+		t.Error("merge accepted diverging slot sections")
+	}
+	if _, err := globalTranscript(part, []string{shard0, "slot 1 user 1 route 1\n"}); err == nil {
+		t.Error("merge accepted a shard missing its init line")
 	}
 }

@@ -11,14 +11,18 @@ import (
 	"repro/internal/distributed/federation"
 	"repro/internal/engine"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
-// This file promotes the sharded federation from in-process goroutines
-// (RunFederated) to genuinely separate processes: ServeNode runs ONE shard
-// of a K-shard federation, connected to its peers over TCP through the
-// peer mesh of peerlink.go. There is no coordinator. The round structure
-// stays bulk-synchronous and the selection stays globally exact through a
+// This file is the sharded federation of Algorithm 2: users are
+// partitioned across K platform shards (internal/distributed/federation
+// decides ownership, spatially by default), and ServeNode runs ONE shard,
+// serving its own users' agents and connected to its peers over TCP
+// through the peer mesh of peerlink.go. A multi-process cluster runs one
+// ServeNode per process; RunFederatedInProcess (federated.go) runs all K
+// in one process. The round structure is bulk-synchronous, and with no
+// central selector the selection stays globally exact through a
 // symmetric-broadcast argument:
 //
 //  1. Every shard collects its own users' improvement requests, then
@@ -32,6 +36,16 @@ import (
 //  3. Each shard grants and commits only its own winners, flushes its
 //     count-delta batch to every peer, and ingests every peer's batch
 //     before the next round opens (the gossip barrier).
+//
+// Because every replica has ingested all peer batches when a round opens,
+// counts are globally exact at round start and stale only within a round —
+// and a round's simultaneous moves touch disjoint task sets (PUU) or are a
+// single move (SUU/DET), so each mover's ΔΦ is computed against counts
+// that are exact for its own tasks. Theorem 2's potential ascent, the
+// Theorem 4 slot bound, and the zero-Nash-gap-at-termination argument
+// therefore carry over shard-count-independently: a federation converges
+// to the same equilibria a standalone platform does, and terminates only
+// when no user anywhere can improve against exact counts.
 //
 // Round stamping: gossip frames carry the decision round they close in the
 // envelope's Epoch header field, separate from the store epoch inside the
@@ -88,8 +102,7 @@ type NodeOptions struct {
 	SlotDelay time.Duration
 	// OnTopology receives the resolved partition before the run starts.
 	OnTopology func(federation.Partition)
-	// ShardObserver receives this shard's per-round observation (same
-	// schema as the in-process federation's shard observer).
+	// ShardObserver receives this shard's per-round observation.
 	ShardObserver func(ShardObservation)
 	// PeerObserver receives peer-link liveness transitions and per-round
 	// peer state; the web layer serves it at /api/v1/shards.
@@ -97,10 +110,13 @@ type NodeOptions struct {
 	// Transcript, when non-nil, receives the selection transcript: one
 	// "init user U route R" line per owned user after the handshake, then
 	// one "slot S user U route R" line per granted update, in grant
-	// order, for the GLOBAL winner set. Clean same-seed runs produce
-	// byte-identical slot sections on every shard, across multi-node,
-	// in-process federated, and standalone runs — the determinism
-	// regression the e2e harness enforces.
+	// order, for the GLOBAL winner set. R is the adopted route for owned
+	// users and the requested route for peers' users; the two differ only
+	// for a crashed-and-restarted winner that re-evaluated its move. Clean
+	// same-seed runs produce byte-identical slot sections on every shard
+	// and across multi-node and in-process federated runs, and DET runs
+	// match the standalone platform at any K — the determinism regression
+	// the node and e2e tests enforce. ReplayTranscript replays one.
 	Transcript io.Writer
 }
 
@@ -125,20 +141,6 @@ type NodeStats struct {
 	Counts []int
 }
 
-// transcriptWriter wraps the transcript sink with a sticky error so the
-// slot loop can write unconditionally and fail once, cleanly.
-type transcriptWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (t *transcriptWriter) printf(format string, args ...any) {
-	if t.w == nil || t.err != nil {
-		return
-	}
-	_, t.err = fmt.Fprintf(t.w, format, args...)
-}
-
 // nodeRun carries the per-run state of one ServeNode call.
 type nodeRun struct {
 	in     *core.Instance
@@ -160,13 +162,34 @@ type nodeRun struct {
 // the peer mesh (recovering state from peers first when opts.Resume is
 // set), accepts its owned users' agent connections on agentLn, and drives
 // the symmetric federated protocol to completion. It takes ownership of
-// both listeners and closes them on return.
+// both listeners and of the accepted connections, and closes them all on
+// return.
+func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions) (NodeStats, error) {
+	defer agentLn.Close()
+	var conns []Conn
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	return serveNode(peerLn, in, opts, func(part federation.Partition) ([]Conn, error) {
+		var err error
+		conns, err = acceptAgents(agentLn, part.Owned[opts.Shard])
+		return conns, err
+	}, nil)
+}
+
+// serveNode is ServeNode after the accept step: agents supplies the owned
+// users' connections, in owned-user order, once the peer mesh is up. The
+// connections belong to the caller and stay open on return — closing them
+// here would race the agents' reads of the final Terminate. serveNode owns
+// peerLn. Closing abort (nil = never) fails every pending peer wait with
+// errNodeAborted, so a co-located shard's failure ends this one promptly.
 //
 // The stats result is named: the deferred counter reads below (traffic,
 // peer reconnects) must land after the return statement has copied
 // f.stats into it.
-func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions) (stats NodeStats, err error) {
-	defer agentLn.Close()
+func serveNode(peerLn net.Listener, in *core.Instance, opts NodeOptions, agents func(federation.Partition) ([]Conn, error), abort <-chan struct{}) (stats NodeStats, err error) {
 	defer peerLn.Close()
 	stats = NodeStats{Shard: opts.Shard, Shards: opts.Shards}
 	if err := in.Validate(); err != nil {
@@ -194,16 +217,8 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 			return stats, fmt.Errorf("distributed: -resume is incompatible with SUU (the selection RNG's draw history is lost; use PUU or DET)")
 		}
 	}
-	part := opts.Partition
-	if part.Shards == 0 {
-		var err error
-		if part, err = federation.Spatial(in, K); err != nil {
-			return stats, err
-		}
-	} else if part.Shards != K {
-		return stats, fmt.Errorf("distributed: partition has %d shards, options ask for %d", part.Shards, K)
-	}
-	if err := part.Validate(in); err != nil {
+	part, err := resolvePartition(in, opts.Partition, K)
+	if err != nil {
 		return stats, err
 	}
 	if opts.OnTopology != nil {
@@ -231,7 +246,7 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 		reqStash: make(map[int]map[int]*wire.ShardRequests),
 		stats:    stats,
 	}
-	f.mesh = newPeerMesh(peerLn, opts.Shard, opts.PeerAddrs, opts.PeerRetry, opts.PeerTimeout, st, opts.Resume, opts.PeerObserver)
+	f.mesh = newPeerMesh(peerLn, opts.Shard, opts.PeerAddrs, opts.PeerRetry, opts.PeerTimeout, st, opts.Resume, opts.PeerObserver, abort)
 	defer f.mesh.close()
 	defer func() {
 		for _, l := range f.mesh.links {
@@ -251,18 +266,13 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 	}
 	f.mesh.round.Store(int64(startSlot))
 
-	// Agent handshake: accept exactly the owned users, identified by their
-	// hellos, then run the standard init phase over them.
+	// Agent handshake: attach exactly the owned users, then run the
+	// standard init phase over them.
 	owned := part.Owned[opts.Shard]
-	conns, err := acceptOwnedAgents(agentLn, in, part, opts.Shard)
+	conns, err := agents(part)
 	if err != nil {
 		return f.stats, err
 	}
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
 	shardCfg := opts.Platform
 	shardCfg.Observer = nil
 	shardCfg.ObservePotential = false
@@ -302,13 +312,28 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 	return f.stats, nil
 }
 
+// resolvePartition returns the user placement for a K-shard federation:
+// p when it is set (it must have K shards), the spatial partition
+// otherwise.
+func resolvePartition(in *core.Instance, p federation.Partition, K int) (federation.Partition, error) {
+	if p.Shards == 0 {
+		var err error
+		if p, err = federation.Spatial(in, K); err != nil {
+			return p, err
+		}
+	} else if p.Shards != K {
+		return p, fmt.Errorf("distributed: partition has %d shards, options ask for %d", p.Shards, K)
+	}
+	return p, p.Validate(in)
+}
+
 // recover rebuilds this node's replica from its peers and returns the
 // round to rejoin at. See the file comment for the full sequence.
 func (f *nodeRun) recover() (int, error) {
 	K := f.opts.Shards
 	snaps := make(map[int]*wire.Snapshot, K-1)
 	for p, l := range f.mesh.links {
-		sn, err := l.recvSnapshot(f.opts.PeerTimeout)
+		sn, err := recvPeer(l, l.snapCh, "snapshot", f.opts.PeerTimeout)
 		if err != nil {
 			return 0, err
 		}
@@ -380,6 +405,7 @@ func (f *nodeRun) slotLoop(startSlot int) error {
 		if f.opts.SlotDelay > 0 {
 			time.Sleep(f.opts.SlotDelay)
 		}
+		slotTimer := telemetry.StartSpan(f.plat.tel.slotDuration)
 		own, err := f.plat.collectRequests(slot)
 		if err != nil {
 			return err
@@ -410,27 +436,38 @@ func (f *nodeRun) slotLoop(startSlot int) error {
 				return err
 			}
 			f.mesh.broadcastRequests(&wire.ShardRequests{Shard: self, Slot: slot + 1, Terminating: true})
+			slotTimer.End()
 			f.stats.Converged = true
 			f.finishChoices()
 			return nil
 		}
 		winners := selectWinners(f.policy, f.rnd, merged)
-		for _, w := range winners {
-			f.tw.printf("slot %d user %d route %d\n", slot, w.User, w.Route)
-		}
 		ownWinners := winners[:0:0]
 		for _, w := range winners {
 			if f.part.Assign[w.User] == self {
 				ownWinners = append(ownWinners, w)
 			}
 		}
-		if _, _, err := f.plat.commitSlot(slot, ownWinners); err != nil {
+		moves, err := f.plat.commitSlot(slot, ownWinners)
+		if err != nil {
 			return err
+		}
+		// Own winners are logged with the route they adopted — a
+		// crashed-and-restarted winner may re-evaluate its move — and
+		// peers' winners with the route they requested. moves follows
+		// ownWinners' order.
+		for _, w := range winners {
+			route := w.Route
+			if f.part.Assign[w.User] == self {
+				route, moves = moves[0].Route, moves[1:]
+			}
+			f.tw.printf("slot %d user %d route %d\n", slot, w.User, route)
 		}
 		f.mesh.broadcastGossip(f.st.Flush(), slot)
 		if err := f.barrier(slot); err != nil {
 			return err
 		}
+		slotTimer.End()
 		f.stats.Slots = slot
 		f.stats.RequestsPerSlot = append(f.stats.RequestsPerSlot, len(own))
 		f.stats.SelectedPerSlot = append(f.stats.SelectedPerSlot, len(ownWinners))
@@ -471,7 +508,7 @@ func (f *nodeRun) peerBatch(q, slot int) (*wire.ShardRequests, error) {
 	}
 	l := f.mesh.links[q]
 	for {
-		sr, err := l.recvRequests(f.opts.PeerTimeout)
+		sr, err := recvPeer(l, l.reqCh, "requests", f.opts.PeerTimeout)
 		if err != nil {
 			return nil, err
 		}
@@ -502,7 +539,7 @@ func (f *nodeRun) peerBatch(q, slot int) (*wire.ShardRequests, error) {
 func (f *nodeRun) barrier(round int) error {
 	for p, l := range f.mesh.links {
 		for {
-			m, err := l.recvGossip(f.opts.PeerTimeout)
+			m, err := recvPeer(l, l.gossipCh, "gossip", f.opts.PeerTimeout)
 			if err != nil {
 				return err
 			}
@@ -548,39 +585,4 @@ func ownBatch(shard, slot int, reqs []engine.Request) *wire.ShardRequests {
 		sort.Slice(sr.Reqs, func(i, j int) bool { return sr.Reqs[i].User < sr.Reqs[j].User })
 	}
 	return sr
-}
-
-// acceptOwnedAgents accepts one connection per owned user on ln,
-// identified by hello, and returns them in owned-user order.
-func acceptOwnedAgents(ln net.Listener, in *core.Instance, part federation.Partition, shard int) ([]Conn, error) {
-	owned := part.Owned[shard]
-	bySlot := make(map[int]int, len(owned)) // user -> index in owned
-	for i, u := range owned {
-		bySlot[u] = i
-	}
-	conns := make([]Conn, len(owned))
-	for accepted := 0; accepted < len(owned); accepted++ {
-		nc, err := ln.Accept()
-		if err != nil {
-			return nil, fmt.Errorf("distributed: accept: %w", err)
-		}
-		conn := NewNetConn(nc)
-		m, err := conn.Recv()
-		if err != nil {
-			return nil, fmt.Errorf("distributed: reading hello: %w", err)
-		}
-		if m.Kind != wire.KindHello {
-			return nil, fmt.Errorf("distributed: first message was %v, want hello", m.Kind)
-		}
-		u := m.Hello.User
-		li, ok := bySlot[u]
-		if !ok {
-			return nil, fmt.Errorf("distributed: user %d is not served by shard %d", u, shard)
-		}
-		if conns[li] != nil {
-			return nil, fmt.Errorf("distributed: duplicate connection for user %d", u)
-		}
-		conns[li] = &pushbackConn{Conn: conn, pending: []*wire.Message{m}}
-	}
-	return conns, nil
 }

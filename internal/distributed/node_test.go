@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -88,8 +87,8 @@ func runNodeFederation(t *testing.T, in *core.Instance, K int, policy SelectionP
 	return transcripts, stats
 }
 
-// inProcessTranscript reproduces the node transcript format from an
-// in-process run's observations: init lines from the slot-0 choices, then
+// inProcessTranscript renders a standalone platform's observations in
+// the node transcript format: init lines from the slot-0 choices, then
 // one line per granted update.
 func inProcessTranscript(buf *bytes.Buffer) func(Observation) {
 	return func(o Observation) {
@@ -105,24 +104,14 @@ func inProcessTranscript(buf *bytes.Buffer) func(Observation) {
 	}
 }
 
-// splitTranscript separates init lines from slot lines.
-func splitTranscript(s string) (init []string, slots string) {
-	var slotLines []string
-	for _, line := range strings.Split(strings.TrimSuffix(s, "\n"), "\n") {
-		if strings.HasPrefix(line, "init ") {
-			init = append(init, line)
-		} else if line != "" {
-			slotLines = append(slotLines, line)
-		}
-	}
-	return init, strings.Join(slotLines, "\n")
-}
-
 // TestNodeFederationMatchesInProcess is the multi-node determinism
 // regression: for each policy and shard count, the TCP federation's
-// per-slot selection transcript must be byte-identical on every node AND
-// byte-identical to the in-process federation (and, through the existing
-// federated equivalence suite, to a standalone platform).
+// per-slot selection transcript must be byte-identical on every node and
+// to the in-process federation's, and — where the selection cannot depend
+// on how requests are split across shards — to the standalone platform's.
+// DET picks the lowest requesting user and PUU a disjoint batch that
+// differs only on δ ties; SUU's seeded draw indexes the merged request
+// order, which only K=1 shares with the standalone platform.
 func TestNodeFederationMatchesInProcess(t *testing.T) {
 	in := nodeTestInstance()
 	shardCounts := []int{1, 2, 4}
@@ -133,36 +122,44 @@ func TestNodeFederationMatchesInProcess(t *testing.T) {
 		for _, K := range shardCounts {
 			t.Run(fmt.Sprintf("%s/K=%d", policy, K), func(t *testing.T) {
 				t.Parallel()
-				var want bytes.Buffer
-				fopts := FederatedOptions{
+				fed, err := RunFederatedInProcess(in, FederatedOptions{
 					Shards:   K,
-					Platform: PlatformConfig{Policy: policy, Seed: 1, Observer: inProcessTranscript(&want)},
-				}
-				if _, err := RunFederatedInProcess(in, fopts, InProcessOptions{AgentSeedBase: 1}); err != nil {
+					Platform: PlatformConfig{Policy: policy, Seed: 1},
+				}, InProcessOptions{AgentSeedBase: 1})
+				if err != nil {
 					t.Fatalf("in-process federation: %v", err)
 				}
-				wantInit, wantSlots := splitTranscript(want.String())
+				if policy != SUU || K == 1 {
+					var want bytes.Buffer
+					if _, err := RunInProcess(in, InProcessOptions{
+						Platform:      PlatformConfig{Policy: policy, Seed: 1, Observer: inProcessTranscript(&want)},
+						AgentSeedBase: 1,
+					}); err != nil {
+						t.Fatalf("standalone platform: %v", err)
+					}
+					if fed.Transcript != want.String() {
+						t.Errorf("in-process federation diverges from the standalone platform:\n got:\n%s\nwant:\n%s", fed.Transcript, want.String())
+					}
+				}
 
 				transcripts, stats := runNodeFederation(t, in, K, policy)
-				var gotInit []string
+				texts := make([]string, K)
 				for k, tr := range transcripts {
 					if !stats[k].Converged {
 						t.Fatalf("node %d did not converge", k)
 					}
-					init, slots := splitTranscript(tr.String())
-					gotInit = append(gotInit, init...)
-					if slots != wantSlots {
-						t.Errorf("node %d slot transcript diverges from in-process run:\n got:\n%s\nwant:\n%s", k, slots, wantSlots)
-					}
+					texts[k] = tr.String()
 				}
-				sort.Slice(gotInit, func(i, j int) bool {
-					var a, b int
-					fmt.Sscanf(gotInit[i], "init user %d", &a)
-					fmt.Sscanf(gotInit[j], "init user %d", &b)
-					return a < b
-				})
-				if got := strings.Join(gotInit, "\n"); got != strings.Join(wantInit, "\n") {
-					t.Errorf("merged init lines diverge:\n got:\n%s\nwant:\n%s", got, strings.Join(wantInit, "\n"))
+				part, err := federation.Spatial(in, K)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := globalTranscript(part, texts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != fed.Transcript {
+					t.Errorf("TCP federation diverges from the in-process federation:\n got:\n%s\nwant:\n%s", got, fed.Transcript)
 				}
 			})
 		}
@@ -363,5 +360,57 @@ func TestServeNodeValidation(t *testing.T) {
 				t.Fatalf("error = %v, want containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestServeNodeLeavesHandedInConnsOpen is the conn-ownership regression:
+// serveNode must not close connections its caller handed in. Closing them
+// on return races the agents' reads of the final Terminate, which a
+// closed channel pair can lose.
+func TestServeNodeLeavesHandedInConnsOpen(t *testing.T) {
+	in := nodeTestInstance()
+	n := in.NumUsers()
+	platConns := make([]Conn, n)
+	var agents sync.WaitGroup
+	agentErrs := make([]error, n)
+	for u := 0; u < n; u++ {
+		pc, ac := ChanPair(16)
+		platConns[u] = pc
+		agents.Add(1)
+		go func(u int) {
+			defer agents.Done()
+			agentErrs[u] = NewAgent(ac, AgentConfig{
+				User:  u,
+				Alpha: in.Users[u].Alpha, Beta: in.Users[u].Beta, Gamma: in.Users[u].Gamma,
+				Seed: 1 + uint64(u),
+			}).Run()
+		}(u)
+	}
+	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := serveNode(peerLn, in, NodeOptions{
+		Shard: 0, Shards: 1, PeerAddrs: []string{peerLn.Addr().String()},
+		Platform: PlatformConfig{Policy: PUU, Seed: 1},
+	}, func(federation.Partition) ([]Conn, error) { return platConns, nil }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Converged {
+		t.Fatal("node did not converge")
+	}
+	for u, c := range platConns {
+		select {
+		case <-c.(*chanConn).done:
+			t.Errorf("user %d: serveNode closed a connection it was handed", u)
+		default:
+		}
+	}
+	agents.Wait()
+	for u, err := range agentErrs {
+		if err != nil {
+			t.Errorf("agent %d: %v", u, err)
+		}
 	}
 }

@@ -130,8 +130,8 @@ func WithUsers(ids []int) Option {
 	return func(s *settings) { s.users = ids }
 }
 
-// withStore injects a pre-built replicated store; used by the federated
-// coordinator so it can drive the gossip exchange itself.
+// withStore injects a pre-built replicated store; a federation shard
+// passes the store its peer mesh flushes and ingests.
 func withStore(st *federation.Store) Option {
 	return func(s *settings) { s.store = st }
 }
@@ -252,7 +252,6 @@ func New(in *core.Instance, conns []Conn, opts ...Option) (*Platform, error) {
 			return nil, fmt.Errorf("distributed: store is shard %d/%d, platform is %d/%d",
 				st.Shard(), st.Shards(), s.shard, s.shards)
 		}
-		p.fed = st
 		p.store = st
 	} else {
 		p.store = sliceCounts(make([]int, in.NumTasks()))

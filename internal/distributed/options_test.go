@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/distributed/federation"
 	"repro/internal/telemetry"
 )
 
@@ -77,13 +78,13 @@ func TestNewOptionDefaults(t *testing.T) {
 	if p.cfg.MaxSlots <= 0 {
 		t.Errorf("default MaxSlots %d, want > 0", p.cfg.MaxSlots)
 	}
-	if shard, shards := p.Shard(); shard != -1 || shards != 0 {
-		t.Errorf("standalone platform reports shard %d/%d, want -1/0", shard, shards)
+	if p.shard != -1 || p.shards != 0 {
+		t.Errorf("standalone platform reports shard %d/%d, want -1/0", p.shard, p.shards)
 	}
-	if p.Store() != nil {
+	if _, ok := p.store.(*federation.Store); ok {
 		t.Error("standalone platform has a federation store")
 	}
-	if got := p.Users(); len(got) != 4 || got[0] != 0 || got[3] != 3 {
+	if got := p.users; len(got) != 4 || got[0] != 0 || got[3] != 3 {
 		t.Errorf("default users %v, want [0 1 2 3]", got)
 	}
 
@@ -91,11 +92,11 @@ func TestNewOptionDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shard, shards := sharded.Shard(); shard != 1 || shards != 2 {
-		t.Errorf("sharded platform reports %d/%d, want 1/2", shard, shards)
+	if sharded.shard != 1 || sharded.shards != 2 {
+		t.Errorf("sharded platform reports %d/%d, want 1/2", sharded.shard, sharded.shards)
 	}
-	st := sharded.Store()
-	if st == nil {
+	st, ok := sharded.store.(*federation.Store)
+	if !ok {
 		t.Fatal("sharded platform built no store")
 	}
 	if st.Shard() != 1 || st.Shards() != 2 {

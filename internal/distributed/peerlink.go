@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -59,12 +60,13 @@ type PeerStatus struct {
 // peerMesh owns the K-1 supervised links of one multi-node shard.
 type peerMesh struct {
 	self    int
-	shards  int
 	addrs   []string // peer-mesh listen address per shard
 	retry   time.Duration
 	timeout time.Duration
 	store   *federation.Store
 	observe func(PeerStatus)
+	// abort, when closed, fails every pending wait on a peer (nil: never).
+	abort <-chan struct{}
 
 	// resume is true while this node is recovering: its hellos ask peers
 	// for a state snapshot. Cleared once the node has rejoined.
@@ -83,15 +85,15 @@ type peerMesh struct {
 // Links to lower-index peers are dialed, higher-index peers are accepted;
 // establishment happens in the background — use awaitConnected before the
 // first exchange.
-func newPeerMesh(ln net.Listener, self int, addrs []string, retry, timeout time.Duration, st *federation.Store, resume bool, observe func(PeerStatus)) *peerMesh {
+func newPeerMesh(ln net.Listener, self int, addrs []string, retry, timeout time.Duration, st *federation.Store, resume bool, observe func(PeerStatus), abort <-chan struct{}) *peerMesh {
 	m := &peerMesh{
 		self:    self,
-		shards:  len(addrs),
 		addrs:   addrs,
 		retry:   retry,
 		timeout: timeout,
 		store:   st,
 		observe: observe,
+		abort:   abort,
 		links:   make(map[int]*peerLink),
 		ln:      ln,
 	}
@@ -134,6 +136,8 @@ func (m *peerMesh) awaitConnected() error {
 	for _, l := range m.links {
 		select {
 		case <-l.everUp:
+		case <-m.abort:
+			return errNodeAborted
 		case <-time.After(time.Until(deadline)):
 			return fmt.Errorf("distributed: shard %d: no connection from peer %d within %v", m.self, l.peer, m.timeout)
 		}
@@ -408,38 +412,22 @@ func (l *peerLink) send(m *wire.Message, ring *[]*wire.Message) {
 func (l *peerLink) sendGossip(m *wire.Message)   { l.send(m, &l.ringGossip) }
 func (l *peerLink) sendRequests(m *wire.Message) { l.send(m, &l.ringReqs) }
 
-// recvGossip waits for the next gossip batch from this peer.
-func (l *peerLink) recvGossip(timeout time.Duration) (*wire.Message, error) {
+// errNodeAborted is what a node's pending peer waits fail with once its
+// abort channel closes.
+var errNodeAborted = errors.New("distributed: node aborted: a co-located shard failed")
+
+// recvPeer waits for the next message on one of l's inboxes (gossipCh,
+// reqCh or snapCh); what names the inbox in the timeout error.
+func recvPeer[T any](l *peerLink, ch <-chan T, what string, timeout time.Duration) (T, error) {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
+	var zero T
 	select {
-	case m := <-l.gossipCh:
+	case m := <-ch:
 		return m, nil
+	case <-l.mesh.abort:
+		return zero, errNodeAborted
 	case <-t.C:
-		return nil, fmt.Errorf("distributed: no gossip from shard %d within %v", l.peer, timeout)
-	}
-}
-
-// recvRequests waits for the next request broadcast from this peer.
-func (l *peerLink) recvRequests(timeout time.Duration) (*wire.ShardRequests, error) {
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case sr := <-l.reqCh:
-		return sr, nil
-	case <-t.C:
-		return nil, fmt.Errorf("distributed: no requests from shard %d within %v", l.peer, timeout)
-	}
-}
-
-// recvSnapshot waits for a recovery snapshot from this peer.
-func (l *peerLink) recvSnapshot(timeout time.Duration) (*wire.Snapshot, error) {
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case sn := <-l.snapCh:
-		return sn, nil
-	case <-t.C:
-		return nil, fmt.Errorf("distributed: no snapshot from shard %d within %v", l.peer, timeout)
+		return zero, fmt.Errorf("distributed: no %s from shard %d within %v", what, l.peer, timeout)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/distributed/federation"
 	"repro/internal/engine"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
@@ -118,11 +117,10 @@ type sliceCounts []int
 func (s sliceCounts) Add(task, delta int) { s[task] += delta }
 func (s sliceCounts) View([]int) []int    { return s }
 
-// appliedMove records one granted decision after it was applied; the
-// federated coordinator uses it to maintain the global choice profile.
+// appliedMove records one granted decision after it was applied; a
+// federation shard logs it to its selection transcript.
 type appliedMove struct {
 	User, Route int
-	Changed     bool
 }
 
 // Platform is the platform-side state machine of Algorithm 2. It knows the
@@ -145,10 +143,9 @@ type Platform struct {
 	local []int
 
 	// shard/shards identify this platform's slice of a federated run;
-	// shard is -1 for a standalone platform. fed is the replicated count
-	// store (nil when standalone).
+	// shard is -1 for a standalone platform, whose store is a bare slice
+	// instead of a replicated federation.Store.
 	shard, shards int
-	fed           *federation.Store
 
 	store   countStore
 	view    []int // per-slot snapshot of store counts
@@ -182,19 +179,6 @@ type Platform struct {
 	// span finish in commitSlot.
 	lastRequests int
 }
-
-// Shard returns the platform's shard index and total shard count; (-1, 0)
-// for a standalone platform.
-func (p *Platform) Shard() (shard, shards int) { return p.shard, p.shards }
-
-// Store returns the replicated federation store backing this shard's
-// counts, or nil for a standalone platform. Callers wiring their own
-// gossip exchange flush and ingest through it.
-func (p *Platform) Store() *federation.Store { return p.fed }
-
-// Users returns the global user IDs served by this platform, in
-// connection order.
-func (p *Platform) Users() []int { return append([]int(nil), p.users...) }
 
 // send stamps the current trace context onto m and sends it to the agent
 // on conns[li]. All platform-side sends go through here so reconnect
@@ -437,16 +421,15 @@ func (p *Platform) collectRequests(slot int) ([]engine.Request, error) {
 
 // commitSlot grants the slot's winners (all of which must be users this
 // platform serves), collects and applies their decisions, and closes the
-// slot (Algorithm 2 lines 8–10). It returns the applied moves and the
-// traced ΔΦ of the slot.
-func (p *Platform) commitSlot(slot int, winners []engine.Request) ([]appliedMove, float64, error) {
+// slot (Algorithm 2 lines 8–10). It returns the applied moves.
+func (p *Platform) commitSlot(slot int, winners []engine.Request) ([]appliedMove, error) {
 	for _, w := range winners {
 		li := p.local[w.User]
 		if li < 0 {
-			return nil, 0, fmt.Errorf("distributed: winner %d not served by shard %d", w.User, p.shard)
+			return nil, fmt.Errorf("distributed: winner %d not served by shard %d", w.User, p.shard)
 		}
 		if err := p.send(li, &wire.Message{Kind: wire.KindGrant, Grant: &wire.Grant{Slot: slot}}); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	applied := make([]appliedMove, 0, len(winners))
@@ -455,24 +438,24 @@ func (p *Platform) commitSlot(slot int, winners []engine.Request) ([]appliedMove
 		li := p.local[w.User]
 		m, err := p.expect(li, wire.KindDecision, slot, true)
 		if err != nil {
-			return applied, 0, err
+			return applied, err
 		}
 		if m.Decision.Slot != slot {
-			return applied, 0, fmt.Errorf("distributed: user %d decision for slot %d in slot %d", p.users[li], m.Decision.Slot, slot)
+			return applied, fmt.Errorf("distributed: user %d decision for slot %d in slot %d", p.users[li], m.Decision.Slot, slot)
 		}
 		u := int(w.User)
 		old := p.choices[u]
 		if err := p.applyDecision(u, m.Decision.Route, false); err != nil {
-			return applied, 0, err
+			return applied, err
 		}
-		applied = append(applied, appliedMove{User: u, Route: m.Decision.Route, Changed: m.Decision.Route != old})
+		applied = append(applied, appliedMove{User: u, Route: m.Decision.Route})
 		slotDPhi += p.traceMove(u, old, m.Decision.Route, slot)
 	}
 	p.tel.slots.Inc()
 	p.tel.grants.Add(uint64(len(winners)))
 	p.slotSpan.FinishSlot(p.lastRequests, len(winners), slotDPhi)
 	p.slotSpan = tracing.Span{}
-	return applied, slotDPhi, nil
+	return applied, nil
 }
 
 // terminate ends the protocol for every served user (Algorithm 2 lines
@@ -534,7 +517,7 @@ func (p *Platform) Run() (stats RunStats, err error) {
 		selSpan.End()
 		stats.SelectedPerSlot = append(stats.SelectedPerSlot, len(winners))
 		stats.TotalUpdates += len(winners)
-		if _, _, err := p.commitSlot(slot, winners); err != nil {
+		if _, err := p.commitSlot(slot, winners); err != nil {
 			return stats, err
 		}
 		p.observe(slot, len(requests), winners, slotTimer.End())
@@ -581,8 +564,8 @@ func (p *Platform) observe(slot, requests int, winners []engine.Request, elapsed
 
 // selectWinners applies a selection policy to a slot's requests
 // (Algorithm 2 line 8). It is shared by the standalone platform and the
-// federated coordinator, which selects over the merged cross-shard
-// request set.
+// federation shards, which select over the merged cross-shard request
+// set.
 func selectWinners(policy SelectionPolicy, rnd *rng.Stream, requests []engine.Request) []engine.Request {
 	switch policy {
 	case PUU:

@@ -27,10 +27,26 @@ type InProcessOptions struct {
 // the platform's statistics. Agent errors are joined into the returned
 // error.
 func RunInProcess(in *core.Instance, opts InProcessOptions) (RunStats, error) {
+	conns, finish := startInProcessAgents(in, opts)
+	plat, err := New(in, conns, WithConfig(opts.Platform))
+	if err != nil {
+		return RunStats{}, finish(err)
+	}
+	stats, err := plat.Run()
+	return stats, finish(err)
+}
+
+// startInProcessAgents starts one agent goroutine per user on a channel
+// transport and returns the platform ends, indexed by user. finish takes
+// the platform side's error: on failure it closes the platform ends to
+// unblock agents still waiting on them, then joins the agents and returns
+// the platform error, else the first agent error.
+func startInProcessAgents(in *core.Instance, opts InProcessOptions) (conns []Conn, finish func(error) error) {
 	n := in.NumUsers()
-	platConns := make([]Conn, n)
-	agentConns := make([]Conn, n)
-	for i := 0; i < n; i++ {
+	conns = make([]Conn, n)
+	var wg sync.WaitGroup
+	agentErrs := make([]error, n)
+	for i, u := range in.Users {
 		pc, ac := ChanPair(16)
 		if opts.DupProb > 0 {
 			// Fault injection uses a seeded child schedule per link for
@@ -38,38 +54,35 @@ func RunInProcess(in *core.Instance, opts InProcessOptions) (RunStats, error) {
 			pc = NewFaultConn(pc, FaultProfile{DupProb: opts.DupProb}, faultSeed(opts.AgentSeedBase, i, 0), nil)
 			ac = NewFaultConn(ac, FaultProfile{DupProb: opts.DupProb}, faultSeed(opts.AgentSeedBase, i, 1), nil)
 		}
-		platConns[i], agentConns[i] = pc, ac
-	}
-	plat, err := New(in, platConns, WithConfig(opts.Platform))
-	if err != nil {
-		return RunStats{}, err
-	}
-	u := in.Users
-	var wg sync.WaitGroup
-	agentErrs := make([]error, n)
-	for i := 0; i < n; i++ {
+		conns[i] = pc
+		a := NewAgent(ac, AgentConfig{
+			User:          i,
+			Alpha:         u.Alpha,
+			Beta:          u.Beta,
+			Gamma:         u.Gamma,
+			Seed:          opts.AgentSeedBase + uint64(i),
+			Deterministic: opts.Deterministic,
+		})
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			a := NewAgent(agentConns[i], AgentConfig{
-				User:          i,
-				Alpha:         u[i].Alpha,
-				Beta:          u[i].Beta,
-				Gamma:         u[i].Gamma,
-				Seed:          opts.AgentSeedBase + uint64(i),
-				Deterministic: opts.Deterministic,
-			})
 			agentErrs[i] = a.Run()
 		}(i)
 	}
-	stats, perr := plat.Run()
-	wg.Wait()
-	for i, e := range agentErrs {
-		if e != nil && perr == nil {
-			perr = fmt.Errorf("agent %d: %w", i, e)
+	return conns, func(perr error) error {
+		if perr != nil {
+			for _, c := range conns {
+				c.Close()
+			}
 		}
+		wg.Wait()
+		for i, e := range agentErrs {
+			if e != nil && perr == nil {
+				perr = fmt.Errorf("agent %d: %w", i, e)
+			}
+		}
+		return perr
 	}
-	return stats, perr
 }
 
 // faultSeed derives a per-link, per-side fault schedule seed.
@@ -79,34 +92,13 @@ func faultSeed(base uint64, user, side int) uint64 {
 
 // ServeTCP runs the platform over TCP: it accepts in.NumUsers() agent
 // connections on the listener, identifies each by its Hello, and then runs
-// Algorithm 2 to completion. The consumed Hello messages are replayed to the
-// protocol via a pushback connection.
+// Algorithm 2 to completion.
 func ServeTCP(ln net.Listener, in *core.Instance, cfg PlatformConfig) (RunStats, error) {
-	n := in.NumUsers()
-	conns := make([]Conn, n)
-	for accepted := 0; accepted < n; accepted++ {
-		nc, err := ln.Accept()
-		if err != nil {
-			return RunStats{}, fmt.Errorf("distributed: accept: %w", err)
-		}
-		conn := NewNetConn(nc)
-		m, err := conn.Recv()
-		if err != nil {
-			return RunStats{}, fmt.Errorf("distributed: reading hello: %w", err)
-		}
-		if m.Kind != wire.KindHello {
-			return RunStats{}, fmt.Errorf("distributed: first message was %v, want hello", m.Kind)
-		}
-		u := m.Hello.User
-		if u < 0 || u >= n {
-			return RunStats{}, fmt.Errorf("distributed: hello from unknown user %d", u)
-		}
-		if conns[u] != nil {
-			return RunStats{}, fmt.Errorf("distributed: duplicate connection for user %d", u)
-		}
-		conns[u] = &pushbackConn{Conn: conn, pending: []*wire.Message{m}}
+	users := make([]int, in.NumUsers())
+	for u := range users {
+		users[u] = u
 	}
-	plat, err := New(in, conns, WithConfig(cfg))
+	conns, err := acceptAgents(ln, users)
 	if err != nil {
 		return RunStats{}, err
 	}
@@ -115,7 +107,46 @@ func ServeTCP(ln net.Listener, in *core.Instance, cfg PlatformConfig) (RunStats,
 			c.Close()
 		}
 	}()
+	plat, err := New(in, conns, WithConfig(cfg))
+	if err != nil {
+		return RunStats{}, err
+	}
 	return plat.Run()
+}
+
+// acceptAgents accepts one connection per listed user on ln, identified
+// by its Hello, and returns them in the order of users. The consumed
+// Hello messages are replayed to the protocol via a pushback connection.
+func acceptAgents(ln net.Listener, users []int) ([]Conn, error) {
+	index := make(map[int]int, len(users)) // user -> position in users
+	for i, u := range users {
+		index[u] = i
+	}
+	conns := make([]Conn, len(users))
+	for accepted := 0; accepted < len(users); accepted++ {
+		nc, err := ln.Accept()
+		if err != nil {
+			return nil, fmt.Errorf("distributed: accept: %w", err)
+		}
+		conn := NewNetConn(nc)
+		m, err := conn.Recv()
+		if err != nil {
+			return nil, fmt.Errorf("distributed: reading hello: %w", err)
+		}
+		if m.Kind != wire.KindHello {
+			return nil, fmt.Errorf("distributed: first message was %v, want hello", m.Kind)
+		}
+		u := m.Hello.User
+		i, ok := index[u]
+		if !ok {
+			return nil, fmt.Errorf("distributed: hello from user %d, who is not served here", u)
+		}
+		if conns[i] != nil {
+			return nil, fmt.Errorf("distributed: duplicate connection for user %d", u)
+		}
+		conns[i] = &pushbackConn{Conn: conn, pending: []*wire.Message{m}}
+	}
+	return conns, nil
 }
 
 // DialTCP connects a user agent to a platform at addr and runs Algorithm 1

@@ -89,20 +89,16 @@ func TestShardsTopologyAndObservations(t *testing.T) {
 }
 
 // TestShardsEndToEnd runs a real federated convergence with the server
-// plugged into all three hooks and checks the served state is consistent
-// with the run.
+// plugged into both federation hooks and checks the served state is
+// consistent with the run.
 func TestShardsEndToEnd(t *testing.T) {
 	in := core.RandomInstance(core.DefaultRandomConfig(12, 6), rng.New(77))
 	s, ts := testServer()
 	defer ts.Close()
 
 	stats, err := distributed.RunFederatedInProcess(in, distributed.FederatedOptions{
-		Shards: 3,
-		Platform: distributed.PlatformConfig{
-			Policy:   distributed.PUU,
-			Seed:     5,
-			Observer: s.Observer(),
-		},
+		Shards:        3,
+		Platform:      distributed.PlatformConfig{Policy: distributed.PUU, Seed: 5},
 		ShardObserver: s.ShardObserver(),
 		OnTopology:    s.SetTopology,
 	}, distributed.InProcessOptions{AgentSeedBase: 40, Deterministic: true})

@@ -187,7 +187,7 @@ type ShardRequest struct {
 // decision slot, broadcast to every federation peer in multi-node mode.
 // Requests are listed in ascending user order; the receiving shard merges
 // the batches in shard order, so every shard derives the same global
-// ordering — and therefore the same winner set — without a coordinator.
+// ordering — and therefore the same winner set — without an agreement step.
 // Terminating is a farewell marker: the sender saw an empty global merge
 // at Slot-1 and has terminated, so a peer still running at Slot knows the
 // federation diverged (possible only inside a crash fault window) and can
