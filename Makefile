@@ -26,11 +26,13 @@ race:
 # crash-and-reconnect, the >=100-run soak sweep (TestChaosSoak is skipped
 # by -short elsewhere; here it runs in full), the federated chaos suite
 # repeated (connection-ownership races show only under repeated, loaded
-# runs), and the full multi-process multi-node harness including the
-# kill -9 crash/recovery soak.
+# runs), the duplicate-delivery and agent-restart paths of the per-epoch
+# dedup repeated, and the full multi-process multi-node harness including
+# the kill -9 crash/recovery soak.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestAsyncPotential' -count=1 ./internal/distributed
 	$(GO) test -race -count=3 -run 'TestChaosFederated' ./internal/distributed
+	$(GO) test -race -count=5 -run 'TestSeqConn|TestFaultInjectionDuplicates|TestAgentRestart' ./internal/distributed
 	$(GO) test -race -count=1 -timeout 600s ./internal/distributed/e2e
 
 # Multi-process soak of the multi-node TCP federation on its own: real

@@ -1,10 +1,12 @@
 package distributed
 
 import (
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 
 	"repro/internal/rng"
+	"repro/internal/task"
 	"repro/internal/tracing"
 	"repro/internal/wire"
 )
@@ -41,20 +43,42 @@ type AgentConfig struct {
 // knowledge: only its recommended routes (with platform-computed costs),
 // the public reward parameters of tasks those routes cover, and the latest
 // participant counts received from the platform.
+//
+// Every Init rebuilds a dense view of that game. The tasks its routes
+// cover are sorted into taskIDs, and every other per-task slice (params,
+// n, onCur) is indexed like it, so evaluating a best response is slice
+// arithmetic: no map lookups and no allocation.
 type Agent struct {
 	cfg  AgentConfig
 	conn Conn
 	rnd  *rng.Stream
 
-	routes   []wire.RouteInfo
-	tasks    map[int]wire.TaskParam
+	routes  []agentRoute
+	taskIDs []int
+	params  []wire.TaskParam
+	// n holds the latest SlotInfo's participant counts. onCur marks the
+	// tasks of routes[current]; it changes only when current does.
+	n     []int
+	onCur []bool
+	// profits and delta are bestResponseSet's scratch: the per-route
+	// profits of the last evaluation and its Δ_i.
+	profits []float64
+	delta   []int
+
 	current  int
 	proposed int
-	counts   map[int]int
 	// traceCtx is the trace context of the last platform message; it is
 	// echoed onto every outgoing reply so the platform's slot trace spans
 	// the round trip.
 	traceCtx tracing.SpanContext
+}
+
+// agentRoute is one recommended route in the agent's dense view.
+type agentRoute struct {
+	// tasks are local task indices in the route's order, so reward sums
+	// add up in the order the route lists them.
+	tasks              []int32
+	detour, congestion float64
 }
 
 // NewAgent creates an agent speaking over conn. The connection is wrapped
@@ -153,14 +177,15 @@ func (a *Agent) handleInit(in *wire.Init) error {
 		return fmt.Errorf("agent %d: empty recommended route set", a.cfg.User)
 	}
 	decided := a.routes != nil
-	a.routes = in.Routes
-	a.tasks = in.Tasks
+	if err := a.buildView(in); err != nil {
+		return err
+	}
 	if in.CurrentRoute >= 0 {
 		// Resumed session: the platform has our decision on record.
 		if in.CurrentRoute >= len(a.routes) {
 			return fmt.Errorf("agent %d: resumed route %d out of range", a.cfg.User, in.CurrentRoute)
 		}
-		a.current = in.CurrentRoute
+		a.setCurrent(in.CurrentRoute)
 		return nil
 	}
 	if decided {
@@ -169,6 +194,7 @@ func (a *Agent) handleInit(in *wire.Init) error {
 		// Decision). Re-report the decision already made instead of sampling
 		// a new one, so agent and platform never diverge; the platform drops
 		// whichever copy arrives second as stale.
+		a.setCurrent(a.current)
 		return a.send(&wire.Message{
 			Kind:     wire.KindDecision,
 			Decision: &wire.Decision{Slot: 0, Route: a.current},
@@ -176,9 +202,9 @@ func (a *Agent) handleInit(in *wire.Init) error {
 	}
 	// Algorithm 1 line 3: initialize by randomly selecting a route.
 	if a.cfg.Deterministic {
-		a.current = 0
+		a.setCurrent(0)
 	} else {
-		a.current = a.rnd.Intn(len(a.routes))
+		a.setCurrent(a.rnd.Intn(len(a.routes)))
 	}
 	// Line 4: report the initial decision.
 	return a.send(&wire.Message{
@@ -187,16 +213,87 @@ func (a *Agent) handleInit(in *wire.Init) error {
 	})
 }
 
-// share returns w_k(n)/n for task k computed from the public parameters.
-func (a *Agent) share(k, n int) float64 {
-	if n <= 0 {
-		return 0
+// buildView rebuilds the dense view from an Init. taskIDs is the sorted
+// set of tasks the routes cover. A route task sent without parameters
+// gets zero ones, whose share is 0. The counts read zero until the next
+// SlotInfo. A route that lists a task twice is rejected, as
+// core.Instance.Validate rejects it on the platform side.
+func (a *Agent) buildView(in *wire.Init) error {
+	total := 0
+	for _, r := range in.Routes {
+		total += len(r.Tasks)
 	}
-	p, ok := a.tasks[k]
-	if !ok {
-		return 0
+	locals := make([]int32, total)
+	// walk[c] lists route c's positions in ascending task order. The
+	// scenario builder's coverage queries list tasks sorted, so the sort
+	// is usually a no-op check.
+	order := make([]int32, total)
+	walk := make([][]int32, len(in.Routes))
+	a.routes = make([]agentRoute, len(in.Routes))
+	for c, r := range in.Routes {
+		n := len(r.Tasks)
+		a.routes[c] = agentRoute{tasks: locals[:n:n], detour: r.DetourCost, congestion: r.CongestionCost}
+		locals = locals[n:]
+		w := order[:n:n]
+		order = order[n:]
+		for j := range w {
+			w[j] = int32(j)
+		}
+		if !slices.IsSorted(r.Tasks) {
+			slices.SortFunc(w, func(x, y int32) int { return cmp.Compare(r.Tasks[x], r.Tasks[y]) })
+		}
+		walk[c] = w
 	}
-	return (p.A + p.Mu*math.Log(float64(n))) / float64(n)
+	// Merge the routes in one ascending pass, numbering each distinct task
+	// as it first appears: no sort of the union and no per-agent map.
+	ids := make([]int, 0, total)
+	for {
+		k, found := 0, false
+		for c, r := range in.Routes {
+			if w := walk[c]; len(w) > 0 && (!found || r.Tasks[w[0]] < k) {
+				k, found = r.Tasks[w[0]], true
+			}
+		}
+		if !found {
+			break
+		}
+		for c, r := range in.Routes {
+			if w := walk[c]; len(w) > 0 && r.Tasks[w[0]] == k {
+				if len(w) > 1 && r.Tasks[w[1]] == k {
+					return fmt.Errorf("agent %d: route %d covers task %d twice", a.cfg.User, c, k)
+				}
+				a.routes[c].tasks[w[0]] = int32(len(ids))
+				walk[c] = w[1:]
+			}
+		}
+		ids = append(ids, k)
+	}
+	a.taskIDs = ids
+	a.params = make([]wire.TaskParam, len(ids))
+	for i, k := range ids {
+		a.params[i] = in.Tasks[k]
+	}
+	a.n = make([]int, len(ids))
+	a.onCur = make([]bool, len(ids))
+	a.profits = make([]float64, len(in.Routes))
+	return nil
+}
+
+// setCurrent makes c the current route and re-marks its tasks.
+func (a *Agent) setCurrent(c int) {
+	clear(a.onCur)
+	for _, i := range a.routes[c].tasks {
+		a.onCur[i] = true
+	}
+	a.current = c
+}
+
+// loadCounts copies a SlotInfo's participant counts into the dense view;
+// a task the SlotInfo omits counts zero.
+func (a *Agent) loadCounts(si *wire.SlotInfo) {
+	for i, k := range a.taskIDs {
+		a.n[i] = si.Counts[k]
+	}
 }
 
 // profitOf evaluates the agent's profit (Eq. 2) for route index c given the
@@ -204,32 +301,33 @@ func (a *Agent) share(k, n int) float64 {
 // Theorem-2 proof does: tasks already on the current route keep their
 // count; tasks newly joined gain one participant.
 func (a *Agent) profitOf(c int) float64 {
-	onCurrent := map[int]bool{}
-	for _, k := range a.routes[a.current].Tasks {
-		onCurrent[k] = true
-	}
-	r := a.routes[c]
+	r := &a.routes[c]
 	var reward float64
-	for _, k := range r.Tasks {
-		n := a.counts[k]
-		if !onCurrent[k] {
+	for _, i := range r.tasks {
+		n := a.n[i]
+		if !a.onCur[i] {
 			n++
 		}
-		reward += a.share(k, n)
+		p := a.params[i]
+		reward += task.Task{A: p.A, Mu: p.Mu}.Share(n)
 	}
-	return a.cfg.Alpha*reward - a.cfg.Beta*r.DetourCost - a.cfg.Gamma*r.CongestionCost
+	return a.cfg.Alpha*reward - a.cfg.Beta*r.detour - a.cfg.Gamma*r.congestion
 }
 
-// bestResponseSet computes Δ_i locally (Algorithm 1 line 10).
+// bestResponseSet computes Δ_i locally (Algorithm 1 line 10), recording
+// every route's profit in a.profits. The returned slice is scratch, valid
+// until the next call.
 func (a *Agent) bestResponseSet() []int {
 	cur := a.profitOf(a.current)
+	a.profits[a.current] = cur
 	best := cur
-	var out []int
+	out := a.delta[:0]
 	for c := range a.routes {
 		if c == a.current {
 			continue
 		}
 		v := a.profitOf(c)
+		a.profits[c] = v
 		switch {
 		case v > best+eps:
 			best = v
@@ -239,6 +337,7 @@ func (a *Agent) bestResponseSet() []int {
 			out = append(out, c)
 		}
 	}
+	a.delta = out
 	return out
 }
 
@@ -246,7 +345,7 @@ func (a *Agent) handleSlot(si *wire.SlotInfo) error {
 	if a.routes == nil {
 		return fmt.Errorf("agent %d: slot info before init", a.cfg.User)
 	}
-	a.counts = si.Counts
+	a.loadCounts(si)
 	delta := a.bestResponseSet()
 	req := &wire.Request{Slot: si.Slot}
 	if len(delta) > 0 {
@@ -258,7 +357,7 @@ func (a *Agent) handleSlot(si *wire.SlotInfo) error {
 		}
 		req.HasUpdate = true
 		req.Route = a.proposed
-		req.Tau = (a.profitOf(a.proposed) - a.profitOf(a.current)) / a.cfg.Alpha
+		req.Tau = (a.profits[a.proposed] - a.profits[a.current]) / a.cfg.Alpha
 		req.B = a.moveTasks(a.proposed)
 	} else {
 		a.proposed = -1
@@ -267,20 +366,23 @@ func (a *Agent) handleSlot(si *wire.SlotInfo) error {
 }
 
 // moveTasks returns B_i: the union of tasks on the current and proposed
-// routes (Algorithm 3 input).
+// routes (Algorithm 3 input), current route first. The slice is fresh:
+// the platform keeps it.
 func (a *Agent) moveTasks(c int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, k := range a.routes[a.current].Tasks {
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
+	cur, next := a.routes[a.current].tasks, a.routes[c].tasks
+	size := len(cur)
+	for _, i := range next {
+		if !a.onCur[i] {
+			size++
 		}
 	}
-	for _, k := range a.routes[c].Tasks {
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
+	out := make([]int, 0, size)
+	for _, i := range cur {
+		out = append(out, a.taskIDs[i])
+	}
+	for _, i := range next {
+		if !a.onCur[i] {
+			out = append(out, a.taskIDs[i])
 		}
 	}
 	return out
@@ -299,7 +401,7 @@ func (a *Agent) handleGrant(g *wire.Grant) error {
 		})
 	}
 	// Algorithm 1 lines 14–15: adopt the proposed route and report it.
-	a.current = a.proposed
+	a.setCurrent(a.proposed)
 	a.proposed = -1
 	return a.send(&wire.Message{
 		Kind:     wire.KindDecision,

@@ -44,6 +44,8 @@ type asyncPlatform struct {
 	nk      []int
 	choices []int
 	version int
+	// unions[u] lists the tasks user u's count views quote.
+	unions [][]int32
 	// observer, when non-nil, is invoked after initialization and after
 	// every applied update with an Observation — the same struct the
 	// synchronous platform reports, with Slot carrying the counts version.
@@ -71,11 +73,16 @@ func newAsyncPlatform(in *core.Instance, conns []Conn) (*asyncPlatform, error) {
 	if len(conns) != in.NumUsers() {
 		return nil, fmt.Errorf("distributed: %d connections for %d users", len(conns), in.NumUsers())
 	}
+	users := make([]int, in.NumUsers())
+	for u := range users {
+		users[u] = u
+	}
 	return &asyncPlatform{
 		in:      in,
 		conns:   append([]Conn(nil), conns...),
 		nk:      make([]int, in.NumTasks()),
 		choices: make([]int, in.NumUsers()),
+		unions:  taskUnions(in, users),
 	}, nil
 }
 
@@ -106,13 +113,7 @@ func (p *asyncPlatform) initMsg(u, currentRoute int) *wire.Message {
 }
 
 func (p *asyncPlatform) viewMsg(u int) *wire.Message {
-	counts := map[int]int{}
-	for _, r := range p.in.Users[u].Routes {
-		for _, k := range r.Tasks {
-			counts[int(k)] = p.nk[k]
-		}
-	}
-	return &wire.Message{Kind: wire.KindSlotInfo, SlotInfo: &wire.SlotInfo{Slot: p.version, Counts: counts}}
+	return slotInfoMsg(p.version, p.unions[u], p.nk)
 }
 
 func (p *asyncPlatform) applyDecision(u, c int, initial bool) error {
@@ -368,7 +369,7 @@ func (a *AsyncAgent) Run() error {
 				return err
 			}
 		case wire.KindSlotInfo:
-			ag.counts = m.SlotInfo.Counts
+			ag.loadCounts(m.SlotInfo)
 			lastVersion = m.SlotInfo.Slot
 			delta := ag.bestResponseSet()
 			req := &wire.Request{Slot: lastVersion}
@@ -383,7 +384,7 @@ func (a *AsyncAgent) Run() error {
 			// Re-evaluate NOW: the counts may have moved since the request.
 			delta := ag.bestResponseSet()
 			if len(delta) > 0 {
-				ag.current = delta[0]
+				ag.setCurrent(delta[0])
 			}
 			if err := ag.send(&wire.Message{
 				Kind:     wire.KindDecision,

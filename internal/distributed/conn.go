@@ -176,27 +176,32 @@ func (c *countedConn) Close() error { return c.inner.Close() }
 
 // --- Sequence numbering and duplicate suppression ---
 
-// seqKey identifies one delivered message: the sender incarnation (epoch)
-// plus its per-incarnation sequence number. Keying duplicates on the pair
-// lets a crashed-and-restarted agent reuse low sequence numbers without its
-// fresh messages being mistaken for duplicates of its previous life.
-type seqKey struct {
-	epoch uint32
-	seq   uint64
-}
-
 // seqConn stamps outgoing messages with increasing sequence numbers (and
-// the sender's epoch) and drops incoming duplicates (messages whose
-// (Epoch, Seq) pair was already delivered). This makes the protocol safe
-// under at-least-once delivery, which the failure-injection transport in
-// faultconn.go exploits.
+// the sender's epoch) and drops incoming duplicates. This makes the
+// protocol safe under at-least-once delivery, which the failure-injection
+// transport in faultconn.go exploits.
+//
+// Duplicate suppression keeps one high-water mark per sender incarnation
+// (epoch): a message whose Seq does not exceed the highest Seq already
+// delivered from its epoch is a duplicate. That relies on FIFO delivery
+// within an epoch, so Send stamps and forwards under one lock, making wire
+// order equal Seq order. Keying the marks on the epoch lets a
+// crashed-and-restarted agent reuse low sequence numbers without its fresh
+// messages being mistaken for duplicates of its previous life, and the
+// state stays one entry per incarnation however long the run.
 type seqConn struct {
-	inner    Conn
-	from     int
-	epoch    uint32
-	nextSeq  uint64
-	lastSeen map[seqKey]bool
-	mu       sync.Mutex
+	inner Conn
+	from  int
+	epoch uint32
+
+	// smu serializes stamping and sending. It is separate from rmu so a
+	// Recv never waits behind a Send blocked on a synchronous transport.
+	smu     sync.Mutex
+	nextSeq uint64
+
+	rmu sync.Mutex
+	// high[e] is the highest Seq delivered from epoch e.
+	high map[uint32]uint64
 }
 
 // WithSeq wraps a connection with sequence stamping (as sender identity
@@ -207,16 +212,16 @@ func WithSeq(inner Conn, from int) Conn { return WithSeqEpoch(inner, from, 0) }
 // agent passes its restart count so its sequence numbers live in a fresh
 // dedup namespace on the receiving side.
 func WithSeqEpoch(inner Conn, from int, epoch uint32) Conn {
-	return &seqConn{inner: inner, from: from, epoch: epoch, lastSeen: make(map[seqKey]bool)}
+	return &seqConn{inner: inner, from: from, epoch: epoch, high: make(map[uint32]uint64)}
 }
 
 func (c *seqConn) Send(m *wire.Message) error {
-	c.mu.Lock()
+	c.smu.Lock()
+	defer c.smu.Unlock()
 	c.nextSeq++
 	m.Seq = c.nextSeq
 	m.Epoch = c.epoch
 	m.From = c.from
-	c.mu.Unlock()
 	return c.inner.Send(m)
 }
 
@@ -226,13 +231,15 @@ func (c *seqConn) Recv() (*wire.Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		k := seqKey{epoch: m.Epoch, seq: m.Seq}
-		c.mu.Lock()
-		dup := c.lastSeen[k]
+		c.rmu.Lock()
+		// The first message of an epoch is always fresh, even with Seq 0
+		// (an unstamped sender).
+		hw, ok := c.high[m.Epoch]
+		dup := ok && m.Seq <= hw
 		if !dup {
-			c.lastSeen[k] = true
+			c.high[m.Epoch] = m.Seq
 		}
-		c.mu.Unlock()
+		c.rmu.Unlock()
 		if dup {
 			continue // duplicate delivery: drop
 		}

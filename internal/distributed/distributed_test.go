@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -358,33 +359,129 @@ func TestChanPairCloseUnblocks(t *testing.T) {
 }
 
 func TestSeqConnDedup(t *testing.T) {
-	a, b := ChanPair(16)
-	sa := WithSeq(a, -1)
-	sb := WithSeq(b, 0)
-	// Send one message, manually duplicate it at the transport level.
-	m := &wire.Message{Kind: wire.KindGrant, Grant: &wire.Grant{Slot: 1}}
-	if err := sa.Send(m); err != nil {
-		t.Fatal(err)
-	}
-	dup := *m
-	if err := a.Send(&dup); err != nil { // bypass seq stamping: same Seq
-		t.Fatal(err)
-	}
-	m2 := &wire.Message{Kind: wire.KindGrant, Grant: &wire.Grant{Slot: 2}}
-	if err := sa.Send(m2); err != nil {
-		t.Fatal(err)
-	}
-	got1, err := sb.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := sb.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got1.Grant.Slot != 1 || got2.Grant.Slot != 2 {
-		t.Errorf("dedup failed: got slots %d,%d", got1.Grant.Slot, got2.Grant.Slot)
-	}
+	t.Run("immediate-dup", func(t *testing.T) {
+		a, b := ChanPair(16)
+		sa := WithSeq(a, -1)
+		sb := WithSeq(b, 0)
+		// Send one message, manually duplicate it at the transport level.
+		m := &wire.Message{Kind: wire.KindGrant, Grant: &wire.Grant{Slot: 1}}
+		if err := sa.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		dup := *m
+		if err := a.Send(&dup); err != nil { // bypass seq stamping: same Seq
+			t.Fatal(err)
+		}
+		m2 := &wire.Message{Kind: wire.KindGrant, Grant: &wire.Grant{Slot: 2}}
+		if err := sa.Send(m2); err != nil {
+			t.Fatal(err)
+		}
+		got1, err := sb.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got2, err := sb.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got1.Grant.Slot != 1 || got2.Grant.Slot != 2 {
+			t.Errorf("dedup failed: got slots %d,%d", got1.Grant.Slot, got2.Grant.Slot)
+		}
+	})
+	t.Run("old-epoch-after-new", func(t *testing.T) {
+		// Raw sends with hand-set (Epoch, Seq): a restarted sender's epoch-1
+		// messages interleave with a late replay of its epoch-0 traffic.
+		a, b := ChanPair(16)
+		sb := WithSeq(b, 0)
+		sends := []struct {
+			epoch uint32
+			seq   uint64
+			slot  int
+		}{
+			{0, 0, 1}, // an unstamped first message is accepted
+			{0, 1, 2},
+			{0, 2, 3},
+			{1, 1, 4}, // new incarnation reuses low sequence numbers
+			{0, 2, 5}, // replay of epoch 0's last message: dup
+			{0, 1, 6}, // older epoch-0 replay: dup
+			{1, 1, 7}, // immediate dup within the new epoch
+			{1, 2, 8},
+			{0, 0, 9}, // second Seq-0 message of epoch 0: dup
+			{1, 3, 10},
+		}
+		for _, s := range sends {
+			m := grantMsg(s.slot)
+			m.Epoch, m.Seq = s.epoch, s.seq
+			if err := a.Send(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []int
+		for len(got) == 0 || got[len(got)-1] != 10 {
+			m, err := sb.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, m.Grant.Slot)
+		}
+		if want := []int{1, 2, 3, 4, 8, 10}; !slices.Equal(got, want) {
+			t.Errorf("delivered slots %v, want %v", got, want)
+		}
+	})
+	t.Run("concurrent-senders", func(t *testing.T) {
+		// Sends racing on one seqConn must reach the wire in Seq order, or
+		// the high-water mark would drop the overtaken ones.
+		const senders, each = 4, 1000
+		a, b := ChanPair(8)
+		sa := WithSeq(a, -1)
+		sb := WithSeq(b, 0)
+		for g := 0; g < senders; g++ {
+			go func() {
+				for i := 0; i < each; i++ {
+					if err := sa.Send(grantMsg(i)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		var last uint64
+		for i := 0; i < senders*each; i++ {
+			m, err := sb.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Seq != last+1 {
+				t.Fatalf("delivery %d: Seq %d after %d", i, m.Seq, last)
+			}
+			last = m.Seq
+		}
+	})
+	t.Run("bounded-state", func(t *testing.T) {
+		const n = 100_000
+		a, b := ChanPair(64)
+		sa := WithSeq(a, -1)
+		sb := WithSeq(b, 0)
+		go func() {
+			for i := 0; i < n; i++ {
+				if err := sa.Send(grantMsg(i)); err != nil {
+					return
+				}
+			}
+		}()
+		for i := 0; i < n; i++ {
+			m, err := sb.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Grant.Slot != i {
+				t.Fatalf("delivery %d: got slot %d", i, m.Grant.Slot)
+			}
+		}
+		if got := len(sb.(*seqConn).high); got != 1 {
+			t.Errorf("dedup state holds %d entries after %d messages of one epoch, want 1", got, n)
+		}
+	})
 }
 
 func TestMessageAccounting(t *testing.T) {

@@ -233,6 +233,7 @@ func New(in *core.Instance, conns []Conn, opts ...Option) (*Platform, error) {
 		rnd:     rng.New(cfg.Seed),
 		users:   users,
 		local:   local,
+		unions:  taskUnions(in, users),
 		shard:   s.shard,
 		shards:  s.shards,
 		choices: make([]int, in.NumUsers()),

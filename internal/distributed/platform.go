@@ -138,9 +138,11 @@ type Platform struct {
 	rnd   *rng.Stream
 
 	// users[li] is the global user ID served by conns[li]; local[u] is the
-	// inverse (-1 for users owned by other shards).
-	users []int
-	local []int
+	// inverse (-1 for users owned by other shards). unions[li] lists the
+	// tasks that user's SlotInfo quotes.
+	users  []int
+	local  []int
+	unions [][]int32
 
 	// shard/shards identify this platform's slice of a federated run;
 	// shard is -1 for a standalone platform, whose store is a bare slice
@@ -231,17 +233,48 @@ func (p *Platform) initMsg(u int, currentRoute int) *wire.Message {
 	}
 }
 
-// slotMsg builds the SlotInfo for user u: n_k restricted to tasks its
-// routes cover (Algorithm 2 line 4 / Algorithm 1 line 9), read from the
-// slot's count snapshot.
-func (p *Platform) slotMsg(u, slot int) *wire.Message {
-	counts := map[int]int{}
-	for _, r := range p.in.Users[u].Routes {
-		for _, k := range r.Tasks {
-			counts[int(k)] = p.view[k]
+// slotMsg builds the SlotInfo for the user on conns[li]: n_k restricted to
+// tasks its routes cover (Algorithm 2 line 4 / Algorithm 1 line 9), read
+// from the slot's count snapshot.
+func (p *Platform) slotMsg(li, slot int) *wire.Message {
+	return slotInfoMsg(slot, p.unions[li], p.view)
+}
+
+// taskUnions returns, for each listed user, the distinct tasks its routes
+// cover, in first-seen order: the keys of that user's SlotInfo. All the
+// lists share one backing array.
+func taskUnions(in *core.Instance, users []int) [][]int32 {
+	// seen[k] == li+1 marks task k as already listed for users[li].
+	seen := make([]int32, in.NumTasks())
+	ends := make([]int, len(users))
+	var flat []int32
+	for li, u := range users {
+		for _, r := range in.Users[u].Routes {
+			for _, k := range r.Tasks {
+				if seen[k] != int32(li+1) {
+					seen[k] = int32(li + 1)
+					flat = append(flat, int32(k))
+				}
+			}
 		}
+		ends[li] = len(flat)
 	}
-	return &wire.Message{Kind: wire.KindSlotInfo, SlotInfo: &wire.SlotInfo{Slot: slot, Counts: counts}}
+	out := make([][]int32, len(users))
+	start := 0
+	for li, end := range ends {
+		out[li] = flat[start:end:end]
+		start = end
+	}
+	return out
+}
+
+// slotInfoMsg builds a SlotInfo quoting counts[k] for every task in union.
+func slotInfoMsg(slot int, union []int32, counts []int) *wire.Message {
+	view := make(map[int]int, len(union))
+	for _, k := range union {
+		view[int(k)] = counts[k]
+	}
+	return &wire.Message{Kind: wire.KindSlotInfo, SlotInfo: &wire.SlotInfo{Slot: slot, Counts: view}}
 }
 
 // applyDecision moves user u to route c, updating counts through the
@@ -307,7 +340,7 @@ func (p *Platform) expect(li int, kind wire.Kind, inSlot int, regrant bool) (*wi
 				return nil, err
 			}
 			if inSlot >= 1 && p.inited[u] {
-				if err := p.send(li, p.slotMsg(u, inSlot)); err != nil {
+				if err := p.send(li, p.slotMsg(li, inSlot)); err != nil {
 					return nil, err
 				}
 			}
@@ -387,7 +420,7 @@ func (p *Platform) collectRequests(slot int) ([]engine.Request, error) {
 	p.view = p.store.View(p.view)
 	rtSpan := telemetry.StartSpan(p.tel.slotRoundtrip)
 	for li := range p.conns {
-		if err := p.send(li, p.slotMsg(p.users[li], slot)); err != nil {
+		if err := p.send(li, p.slotMsg(li, slot)); err != nil {
 			return nil, err
 		}
 	}
