@@ -1,11 +1,13 @@
 package distributed
 
 import (
+	"errors"
 	"net"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -604,5 +606,46 @@ func TestServeTCPRejectsDuplicateUser(t *testing.T) {
 	}
 	if err := <-done; err == nil {
 		t.Fatal("ServeTCP accepted two connections for one user")
+	}
+}
+
+// TestServeTCPClosesAcceptedConnsOnError is the regression for leaked
+// agent connections: when the accept phase fails (here on a duplicate
+// hello), every connection accepted so far, the offending one included,
+// must be closed, so the agents on them see the failure instead of
+// waiting for an Init that never comes.
+func TestServeTCPClosesAcceptedConnsOnError(t *testing.T) {
+	in := randomInstance(14, 3, 4)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := ServeTCP(ln, in, PlatformConfig{})
+		done <- err
+	}()
+	ncs := make([]net.Conn, 2)
+	for i := range ncs {
+		if ncs[i], err = net.Dial("tcp", ln.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		defer ncs[i].Close()
+		// A valid hello from user 0, then a duplicate claim on user 0.
+		if err := NewNetConn(ncs[i]).Send(&wire.Message{Kind: wire.KindHello, Hello: &wire.Hello{User: 0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err == nil {
+		t.Fatal("ServeTCP accepted two connections for one user")
+	}
+	for i, nc := range ncs {
+		nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+		_, err := NewNetConn(nc).Recv()
+		var ne net.Error
+		if err == nil || errors.As(err, &ne) && ne.Timeout() {
+			t.Errorf("connection %d still open after ServeTCP failed: read returned %v", i, err)
+		}
 	}
 }

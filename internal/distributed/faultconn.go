@@ -299,9 +299,9 @@ func (c *FaultConn) Recv() (*wire.Message, error) {
 	if d > 0 {
 		time.Sleep(d)
 	}
-	// The blocking read happens outside the lock so concurrent Sends (the
-	// async platform writes while its reader goroutine is parked here) are
-	// never serialized behind a parked Recv. Crashes fire only at operation
+	// The blocking read happens outside the lock so a concurrent Send (a
+	// full-duplex user writing while its reader goroutine is parked here)
+	// is never serialized behind a parked Recv. Crashes fire only at operation
 	// entry, so a message read here is always delivered, never lost.
 	return c.inner.Recv()
 }

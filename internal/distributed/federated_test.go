@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/distributed/federation"
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 )
 
 // TestFederatedConvergesToNash runs the federation at several shard counts
@@ -281,5 +283,30 @@ func TestTranscriptRejectsMalformed(t *testing.T) {
 	}
 	if _, err := globalTranscript(part, []string{shard0, "slot 1 user 1 route 1\n"}); err == nil {
 		t.Error("merge accepted a shard missing its init line")
+	}
+}
+
+// TestFederatedSelectionHistogram checks every shard times its winner
+// selection: each shard's distributed_selection_seconds{shard="k"} records
+// one observation per decision slot that ran a selection.
+func TestFederatedSelectionHistogram(t *testing.T) {
+	in := randomInstance(17, 16, 6)
+	reg := telemetry.NewRegistry()
+	stats, err := RunFederatedInProcess(in, FederatedOptions{
+		Shards:   2,
+		Platform: PlatformConfig{Policy: PUU, Seed: 1, Telemetry: reg},
+	}, InProcessOptions{AgentSeedBase: 9, Deterministic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Slots == 0 {
+		t.Fatal("run selected nothing; the check needs at least one slot")
+	}
+	snap := reg.Snapshot()
+	for _, ns := range stats.Nodes {
+		name := fmt.Sprintf(`distributed_selection_seconds{shard="%d"}`, ns.Shard)
+		if got := snap.Histograms[name].Count; got != uint64(ns.Slots) {
+			t.Errorf("%s has %d observations, want %d (one per slot)", name, got, ns.Slots)
+		}
 	}
 }

@@ -62,7 +62,8 @@ func (t *MuxTransport) Close() error { return t.mux.Close() }
 // TCP connections on the listener (each typically carrying many agents) and
 // collects exactly in.NumUsers() logical links across them, identified by
 // channel ID — no Hello peeking needed. It then runs Algorithm 2 to
-// completion.
+// completion. It fails once every session has closed before all users'
+// links are open.
 func ServeTCPMux(ln net.Listener, in *core.Instance, cfg PlatformConfig, sessions int) (RunStats, error) {
 	n := in.NumUsers()
 	if sessions < 1 {
@@ -74,6 +75,10 @@ func ServeTCPMux(ln net.Listener, in *core.Instance, cfg PlatformConfig, session
 		user int
 	}
 	links := make(chan accepted)
+	// gone carries each session acceptor's exit cause; once every acceptor
+	// has exited, no further link can arrive. One slot per acceptor, so an
+	// acceptor exiting after the run never blocks.
+	gone := make(chan error, sessions)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	defer func() {
@@ -99,7 +104,8 @@ func ServeTCPMux(ln net.Listener, in *core.Instance, cfg PlatformConfig, session
 			for {
 				c, user, err := t.Accept()
 				if err != nil {
-					return // session torn down; outstanding errors surface via conns
+					gone <- err // session torn down; later errors surface via conns
+					return
 				}
 				select {
 				case links <- accepted{conn: c, user: user}:
@@ -110,15 +116,22 @@ func ServeTCPMux(ln net.Listener, in *core.Instance, cfg PlatformConfig, session
 		}(t)
 	}
 	conns := make([]Conn, n)
-	for got := 0; got < n; got++ {
-		l := <-links
-		if l.user < 0 || l.user >= n {
-			return RunStats{}, fmt.Errorf("distributed: link from unknown user %d", l.user)
+	for got, live := 0, sessions; got < n; {
+		select {
+		case err := <-gone:
+			if live--; live == 0 {
+				return RunStats{}, fmt.Errorf("distributed: every mux session closed with %d of %d users linked: %w", got, n, err)
+			}
+		case l := <-links:
+			if l.user < 0 || l.user >= n {
+				return RunStats{}, fmt.Errorf("distributed: link from unknown user %d", l.user)
+			}
+			if conns[l.user] != nil {
+				return RunStats{}, fmt.Errorf("distributed: duplicate link for user %d", l.user)
+			}
+			conns[l.user] = l.conn
+			got++
 		}
-		if conns[l.user] != nil {
-			return RunStats{}, fmt.Errorf("distributed: duplicate link for user %d", l.user)
-		}
-		conns[l.user] = l.conn
 	}
 	plat, err := New(in, conns, WithConfig(cfg))
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -262,4 +263,45 @@ func TestServeTCPMuxRejectsUnknownUser(t *testing.T) {
 		t.Fatal("ServeTCPMux accepted a link for an unknown user")
 	}
 	_ = err // the agent side fails too once the platform tears down
+}
+
+// TestServeTCPMuxSessionClosesEarly is the regression for a hang: a session
+// that closes before it has opened every user's link must end ServeTCPMux
+// with an error once no session is left to open the rest, not leave it
+// waiting for links forever.
+func TestServeTCPMuxSessionClosesEarly(t *testing.T) {
+	in := randomInstance(9, 4, 6)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := ServeTCPMux(ln, in, PlatformConfig{}, 1)
+		done <- err
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewMuxTransport(nc, wire.MuxOptions{})
+	c, err := tr.Agent(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Open user 0's link only, then end the session.
+	if err := c.Send(&wire.Message{Kind: wire.KindHello, Hello: &wire.Hello{User: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Drain()
+	tr.Close()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("ServeTCPMux reported success with 1 of 4 users linked")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeTCPMux still waiting for links 5s after its only session closed")
+	}
 }

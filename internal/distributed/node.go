@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/distributed/federation"
 	"repro/internal/engine"
-	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -21,7 +20,9 @@ import (
 // serving its own users' agents and connected to its peers over TCP
 // through the peer mesh of peerlink.go. A multi-process cluster runs one
 // ServeNode per process; RunFederatedInProcess (federated.go) runs all K
-// in one process. The round structure is bulk-synchronous, and with no
+// in one process. A standalone platform (Platform.Run) is the peerless
+// K=1 case: the same round loop, with no peer to exchange requests or
+// gossip with. The round structure is bulk-synchronous, and with no
 // central selector the selection stays globally exact through a
 // symmetric-broadcast argument:
 //
@@ -141,17 +142,14 @@ type NodeStats struct {
 	Counts []int
 }
 
-// nodeRun carries the per-run state of one ServeNode call.
+// nodeRun carries the per-run state of one ServeNode call, or of a
+// standalone Platform.Run, which is a node without peers.
 type nodeRun struct {
-	in     *core.Instance
-	opts   NodeOptions
-	part   federation.Partition
-	st     *federation.Store
-	mesh   *peerMesh
-	plat   *Platform
-	policy SelectionPolicy
-	rnd    *rng.Stream
-	tw     transcriptWriter
+	opts NodeOptions
+	st   *federation.Store
+	mesh *peerMesh
+	plat *Platform
+	tw   transcriptWriter
 	// reqStash parks request batches that arrived ahead of the round the
 	// node is collecting (the peer is at most one round ahead).
 	reqStash map[int]map[int]*wire.ShardRequests
@@ -205,15 +203,11 @@ func serveNode(peerLn net.Listener, in *core.Instance, opts NodeOptions, agents 
 	if len(opts.PeerAddrs) != K {
 		return stats, fmt.Errorf("distributed: %d peer addresses for %d shards", len(opts.PeerAddrs), K)
 	}
-	policy := opts.Platform.Policy
-	if policy == "" {
-		policy = SUU
-	}
 	if opts.Resume {
 		if K == 1 {
 			return stats, fmt.Errorf("distributed: -resume needs a peer to recover from (K=1)")
 		}
-		if policy == SUU {
+		if policy := opts.Platform.Policy; policy == SUU || policy == "" {
 			return stats, fmt.Errorf("distributed: -resume is incompatible with SUU (the selection RNG's draw history is lost; use PUU or DET)")
 		}
 	}
@@ -236,12 +230,8 @@ func serveNode(peerLn net.Listener, in *core.Instance, opts NodeOptions, agents 
 	}
 
 	f := &nodeRun{
-		in:       in,
 		opts:     opts,
-		part:     part,
 		st:       st,
-		policy:   policy,
-		rnd:      rng.New(opts.Platform.Seed),
 		tw:       transcriptWriter{w: opts.Transcript},
 		reqStash: make(map[int]map[int]*wire.ShardRequests),
 		stats:    stats,
@@ -396,21 +386,24 @@ func (f *nodeRun) recover() (int, error) {
 }
 
 // slotLoop drives decision slots from startSlot until global equilibrium
-// or slot exhaustion.
+// or slot exhaustion (Algorithm 2 lines 5–12).
 func (f *nodeRun) slotLoop(startSlot int) error {
-	maxSlots := f.plat.cfg.MaxSlots
+	plat := f.plat
+	maxSlots := plat.cfg.MaxSlots
 	self := f.opts.Shard
 	for slot := startSlot; slot <= maxSlots; slot++ {
 		f.mesh.round.Store(int64(slot))
 		if f.opts.SlotDelay > 0 {
 			time.Sleep(f.opts.SlotDelay)
 		}
-		slotTimer := telemetry.StartSpan(f.plat.tel.slotDuration)
-		own, err := f.plat.collectRequests(slot)
+		slotTimer := telemetry.StartSpan(plat.tel.slotDuration)
+		own, err := plat.collectRequests(slot)
 		if err != nil {
 			return err
 		}
-		f.mesh.broadcastRequests(ownBatch(self, slot, own))
+		if len(f.mesh.links) > 0 {
+			f.mesh.broadcastRequests(ownBatch(self, slot, own))
+		}
 		// Merge all shards' batches in shard order: every node sees the
 		// identical sequence, so the selection below agrees everywhere.
 		var merged []engine.Request
@@ -432,7 +425,7 @@ func (f *nodeRun) slotLoop(startSlot int) error {
 			// exact round-start counts. Terminate the owned fleet and send
 			// the farewell marker, which turns a diverged peer that is
 			// still running slot+1 into a fast failure instead of a hang.
-			if err := f.plat.terminate(slot); err != nil {
+			if err := plat.terminate(slot); err != nil {
 				return err
 			}
 			f.mesh.broadcastRequests(&wire.ShardRequests{Shard: self, Slot: slot + 1, Terminating: true})
@@ -441,14 +434,16 @@ func (f *nodeRun) slotLoop(startSlot int) error {
 			f.finishChoices()
 			return nil
 		}
-		winners := selectWinners(f.policy, f.rnd, merged)
+		selSpan := telemetry.StartSpan(plat.tel.selectionTime)
+		winners := selectWinners(plat.cfg.Policy, plat.rnd, merged)
+		selSpan.End()
 		ownWinners := winners[:0:0]
 		for _, w := range winners {
-			if f.part.Assign[w.User] == self {
+			if plat.local[w.User] >= 0 {
 				ownWinners = append(ownWinners, w)
 			}
 		}
-		moves, err := f.plat.commitSlot(slot, ownWinners)
+		moves, err := plat.commitSlot(slot, ownWinners)
 		if err != nil {
 			return err
 		}
@@ -458,7 +453,7 @@ func (f *nodeRun) slotLoop(startSlot int) error {
 		// ownWinners' order.
 		for _, w := range winners {
 			route := w.Route
-			if f.part.Assign[w.User] == self {
+			if plat.local[w.User] >= 0 {
 				route, moves = moves[0].Route, moves[1:]
 			}
 			f.tw.printf("slot %d user %d route %d\n", slot, w.User, route)
@@ -467,11 +462,12 @@ func (f *nodeRun) slotLoop(startSlot int) error {
 		if err := f.barrier(slot); err != nil {
 			return err
 		}
-		slotTimer.End()
+		elapsed := slotTimer.End()
 		f.stats.Slots = slot
 		f.stats.RequestsPerSlot = append(f.stats.RequestsPerSlot, len(own))
 		f.stats.SelectedPerSlot = append(f.stats.SelectedPerSlot, len(ownWinners))
 		f.stats.TotalUpdates += len(ownWinners)
+		plat.observe(slot, len(merged), winners, elapsed)
 		if f.opts.ShardObserver != nil {
 			f.opts.ShardObserver(ShardObservation{
 				Shard:    self,
@@ -558,14 +554,14 @@ func (f *nodeRun) barrier(round int) error {
 	return nil
 }
 
-// finishChoices publishes the owned users' final routes (-1 for users
+// finishChoices publishes the served users' final routes (-1 for users
 // served by peer shards).
 func (f *nodeRun) finishChoices() {
-	f.stats.Choices = make([]int, f.in.NumUsers())
+	f.stats.Choices = make([]int, f.plat.in.NumUsers())
 	for u := range f.stats.Choices {
 		f.stats.Choices[u] = -1
 	}
-	for _, u := range f.part.Owned[f.opts.Shard] {
+	for _, u := range f.plat.users {
 		f.stats.Choices[u] = f.plat.choices[u]
 	}
 	f.stats.Counts = f.st.View(nil)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -131,14 +132,27 @@ func TestNodeFederationMatchesInProcess(t *testing.T) {
 				}
 				if policy != SUU || K == 1 {
 					var want bytes.Buffer
-					if _, err := RunInProcess(in, InProcessOptions{
+					alone, err := RunInProcess(in, InProcessOptions{
 						Platform:      PlatformConfig{Policy: policy, Seed: 1, Observer: inProcessTranscript(&want)},
 						AgentSeedBase: 1,
-					}); err != nil {
+					})
+					if err != nil {
 						t.Fatalf("standalone platform: %v", err)
 					}
 					if fed.Transcript != want.String() {
 						t.Errorf("in-process federation diverges from the standalone platform:\n got:\n%s\nwant:\n%s", fed.Transcript, want.String())
+					}
+					// One shard serves every user, so its per-slot statistics
+					// are the standalone platform's too.
+					if K == 1 {
+						if fed.Slots != alone.Slots || fed.TotalUpdates != alone.TotalUpdates ||
+							!slices.Equal(fed.RequestsPerSlot, alone.RequestsPerSlot) ||
+							!slices.Equal(fed.SelectedPerSlot, alone.SelectedPerSlot) ||
+							!slices.Equal(fed.Choices, alone.Choices) {
+							t.Errorf("K=1 federation stats diverge from the standalone platform:\n got: slots %d updates %d requests %v selected %v choices %v\nwant: slots %d updates %d requests %v selected %v choices %v",
+								fed.Slots, fed.TotalUpdates, fed.RequestsPerSlot, fed.SelectedPerSlot, fed.Choices,
+								alone.Slots, alone.TotalUpdates, alone.RequestsPerSlot, alone.SelectedPerSlot, alone.Choices)
+						}
 					}
 				}
 

@@ -15,7 +15,6 @@ import (
 // settings accumulates the functional options before New validates them.
 type settings struct {
 	cfg     PlatformConfig
-	async   bool
 	timeout time.Duration
 	shard   int
 	shards  int
@@ -62,13 +61,6 @@ func WithSeed(seed uint64) Option {
 	return func(s *settings) { s.cfg.Seed = seed }
 }
 
-// WithAsync selects the asynchronous (slot-free) protocol variant; the
-// platform then runs via RunAsync (or Run, which adapts the async
-// statistics). Incompatible with WithShard.
-func WithAsync() Option {
-	return func(s *settings) { s.async = true }
-}
-
 // WithTelemetry selects the metrics registry; nil restores the default
 // (telemetry.Default()).
 func WithTelemetry(reg *telemetry.Registry) Option {
@@ -107,8 +99,8 @@ func WithSlotTimeout(d time.Duration) Option {
 
 // WithShard builds the platform as shard k of a K-shard federation: it
 // serves only the users named by WithUsers (which becomes mandatory), and
-// reads the shared participation counts through a replicated
-// federation.Store instead of a local slice. Incompatible with WithAsync.
+// reads the shared participation counts through the federation's
+// replicated store.
 func WithShard(k, total int) Option {
 	return func(s *settings) {
 		if total < 1 {
@@ -137,11 +129,10 @@ func withStore(st *federation.Store) Option {
 }
 
 // New builds a platform over the given agent connections. With no options
-// it serves all in.NumUsers() users with the slot-synchronous protocol,
-// SUU selection, and default telemetry — the classic layout. Options
-// select the async variant, shard the platform for federation, or tune
-// observation and transport behavior; option validation errors surface
-// here rather than mid-run.
+// it serves all in.NumUsers() users with SUU selection and default
+// telemetry — the classic layout. Options shard the platform for
+// federation or tune observation and transport behavior; option
+// validation errors surface here rather than mid-run.
 func New(in *core.Instance, conns []Conn, opts ...Option) (*Platform, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("distributed: %w", err)
@@ -152,9 +143,6 @@ func New(in *core.Instance, conns []Conn, opts ...Option) (*Platform, error) {
 	}
 	if s.err != nil {
 		return nil, s.err
-	}
-	if s.async && s.shards > 0 {
-		return nil, fmt.Errorf("distributed: WithAsync is incompatible with WithShard (the async protocol is unsharded)")
 	}
 	users := s.users
 	if users == nil {
@@ -198,23 +186,6 @@ func New(in *core.Instance, conns []Conn, opts ...Option) (*Platform, error) {
 		reg = telemetry.Default()
 	}
 
-	if s.async {
-		raw := conns
-		if s.timeout > 0 {
-			raw = make([]Conn, len(conns))
-			for i, c := range conns {
-				raw[i] = WithTimeout(c, s.timeout)
-			}
-		}
-		ap, err := newAsyncPlatform(in, raw)
-		if err != nil {
-			return nil, err
-		}
-		ap.observer = cfg.Observer
-		ap.tracer = cfg.Tracer
-		return &Platform{in: in, cfg: cfg, async: ap, ctr: &Counter{}}, nil
-	}
-
 	tel := newPlatformTelemetry(reg, users, s.shard)
 	ctr := &Counter{}
 	wrapped := make([]Conn, len(conns))
@@ -242,20 +213,20 @@ func New(in *core.Instance, conns []Conn, opts ...Option) (*Platform, error) {
 		tel:     tel,
 		tr:      cfg.Tracer,
 	}
-	if s.shards > 0 {
-		st := s.store
-		if st == nil {
-			var err error
-			if st, err = federation.NewStore(in.NumTasks(), s.shard, s.shards); err != nil {
-				return nil, err
-			}
-		} else if st.Shard() != s.shard || st.Shards() != s.shards {
-			return nil, fmt.Errorf("distributed: store is shard %d/%d, platform is %d/%d",
-				st.Shard(), st.Shards(), s.shard, s.shards)
-		}
-		p.store = st
-	} else {
-		p.store = sliceCounts(make([]int, in.NumTasks()))
+	// A standalone platform counts through a one-shard store with no peers.
+	k, K := s.shard, s.shards
+	if K == 0 {
+		k, K = 0, 1
 	}
+	st := s.store
+	if st == nil {
+		var err error
+		if st, err = federation.NewStore(in.NumTasks(), k, K); err != nil {
+			return nil, err
+		}
+	} else if st.Shard() != k || st.Shards() != K {
+		return nil, fmt.Errorf("distributed: store is shard %d/%d, platform is %d/%d", st.Shard(), st.Shards(), k, K)
+	}
+	p.store = st
 	return p, nil
 }

@@ -5,12 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/distributed/federation"
 	"repro/internal/telemetry"
 )
 
 // TestNewOptionValidation table-tests the construction-time validation of
-// the functional-options API for both the sync and async paths.
+// the functional-options API.
 func TestNewOptionValidation(t *testing.T) {
 	in := randomInstance(41, 6, 4)
 	conns := func(n int) []Conn {
@@ -27,7 +26,6 @@ func TestNewOptionValidation(t *testing.T) {
 		wantErr string
 	}{
 		{"defaults", conns(6), nil, ""},
-		{"async-defaults", conns(6), []Option{WithAsync()}, ""},
 		{"nil-registry-defaults", conns(6), []Option{WithTelemetry(nil)}, ""},
 		{"zero-timeout", conns(6), []Option{WithSlotTimeout(0)}, "slot timeout"},
 		{"negative-timeout", conns(6), []Option{WithSlotTimeout(-time.Second)}, "slot timeout"},
@@ -36,7 +34,6 @@ func TestNewOptionValidation(t *testing.T) {
 		{"shard-index-negative", conns(6), []Option{WithShard(-1, 2)}, "shard index"},
 		{"shard-index-too-big", conns(6), []Option{WithShard(2, 2)}, "shard index"},
 		{"shard-needs-users", conns(3), []Option{WithShard(0, 2)}, "WithUsers"},
-		{"shard-async-conflict", conns(3), []Option{WithShard(0, 2), WithUsers([]int{0, 1, 2}), WithAsync()}, "incompatible"},
 		{"conn-user-mismatch", conns(4), []Option{WithUsers([]int{0, 1, 2})}, "4 connections for 3 users"},
 		{"user-out-of-range", conns(2), []Option{WithUsers([]int{0, 6})}, "out of range"},
 		{"user-duplicated", conns(2), []Option{WithUsers([]int{1, 1})}, "served twice"},
@@ -68,7 +65,8 @@ func TestNewOptionDefaults(t *testing.T) {
 	for i := range cs {
 		cs[i], _ = ChanPair(1)
 	}
-	p, err := New(in, cs)
+	reg := telemetry.NewRegistry()
+	p, err := New(in, cs, WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +79,19 @@ func TestNewOptionDefaults(t *testing.T) {
 	if p.shard != -1 || p.shards != 0 {
 		t.Errorf("standalone platform reports shard %d/%d, want -1/0", p.shard, p.shards)
 	}
-	if _, ok := p.store.(*federation.Store); ok {
-		t.Error("standalone platform has a federation store")
+	snap := reg.Snapshot()
+	if _, ok := snap.Counters["distributed_slots_total"]; !ok {
+		t.Errorf("standalone platform registered no unlabelled slot counter: %v", snap.Counters)
+	}
+	for name := range snap.Counters {
+		if strings.Contains(name, "shard=") {
+			t.Errorf("standalone platform metric %s carries a shard label", name)
+		}
+	}
+	for name := range snap.Histograms {
+		if strings.Contains(name, "shard=") {
+			t.Errorf("standalone platform metric %s carries a shard label", name)
+		}
 	}
 	if got := p.users; len(got) != 4 || got[0] != 0 || got[3] != 3 {
 		t.Errorf("default users %v, want [0 1 2 3]", got)
@@ -95,18 +104,13 @@ func TestNewOptionDefaults(t *testing.T) {
 	if sharded.shard != 1 || sharded.shards != 2 {
 		t.Errorf("sharded platform reports %d/%d, want 1/2", sharded.shard, sharded.shards)
 	}
-	st, ok := sharded.store.(*federation.Store)
-	if !ok {
-		t.Fatal("sharded platform built no store")
-	}
-	if st.Shard() != 1 || st.Shards() != 2 {
+	if st := sharded.store; st.Shard() != 1 || st.Shards() != 2 {
 		t.Errorf("auto-built store is shard %d/%d", st.Shard(), st.Shards())
 	}
 }
 
-// TestNewRunsWithOptions drives a full run through New for both protocol
-// variants, with an explicit registry and a slot timeout, to check the
-// options compose end to end.
+// TestNewRunsWithOptions drives a full run through New with an explicit
+// registry and a slot timeout, to check the options compose end to end.
 func TestNewRunsWithOptions(t *testing.T) {
 	in := randomInstance(47, 8, 5)
 	reg := telemetry.NewRegistry()
@@ -123,7 +127,6 @@ func TestNewRunsWithOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		async := p.async != nil
 		done := make(chan error, n)
 		for i := 0; i < n; i++ {
 			go func(i int) {
@@ -132,11 +135,7 @@ func TestNewRunsWithOptions(t *testing.T) {
 					Alpha: in.Users[i].Alpha, Beta: in.Users[i].Beta, Gamma: in.Users[i].Gamma,
 					Seed: 100 + uint64(i), Deterministic: true,
 				}
-				if async {
-					done <- NewAsyncAgent(agentConns[i], cfg).Run()
-				} else {
-					done <- NewAgent(agentConns[i], cfg).Run()
-				}
+				done <- NewAgent(agentConns[i], cfg).Run()
 			}(i)
 		}
 		stats, err := p.Run()
@@ -159,20 +158,12 @@ func TestNewRunsWithOptions(t *testing.T) {
 		WithObserver(func(Observation) { observed++ }),
 	)
 	if !stats.Converged {
-		t.Fatal("sync run did not converge")
+		t.Fatal("run did not converge")
 	}
 	if observed == 0 {
 		t.Error("observer never invoked")
 	}
 	if !profileOf(t, in, stats.Choices).IsNash() {
-		t.Fatal("sync run not Nash")
-	}
-
-	astats := run(WithAsync(), WithSlotTimeout(5*time.Second))
-	if !astats.Converged {
-		t.Fatal("async run did not converge")
-	}
-	if !profileOf(t, in, astats.Choices).IsNash() {
-		t.Fatal("async run not Nash")
+		t.Fatal("run not Nash")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/distributed/federation"
 	"repro/internal/engine"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
@@ -99,24 +100,6 @@ type RunStats struct {
 	MessagesSent, MessagesReceived int
 }
 
-// countStore abstracts where the per-task participation counts n_k live:
-// a plain slice for a standalone platform, or a gossip-replicated
-// federation.Store when the platform is one shard of a federated run.
-type countStore interface {
-	// Add applies a local move's delta to one task count.
-	Add(task, delta int)
-	// View returns the full count vector, reusing dst when possible. A
-	// sharded platform snapshots once per slot so every SlotInfo of a
-	// round quotes the same round-start counts.
-	View(dst []int) []int
-}
-
-// sliceCounts is the standalone store: a bare slice, viewed in place.
-type sliceCounts []int
-
-func (s sliceCounts) Add(task, delta int) { s[task] += delta }
-func (s sliceCounts) View([]int) []int    { return s }
-
 // appliedMove records one granted decision after it was applied; a
 // federation shard logs it to its selection transcript.
 type appliedMove struct {
@@ -130,7 +113,9 @@ type appliedMove struct {
 // A Platform serves either the whole user population (the classic layout)
 // or, when built with WithShard, the subset of users a federation shard
 // owns: the slot protocol below is entirely shard-local, with the shared
-// participation counts read through the replicated store.
+// participation counts read through the replicated store. A standalone
+// platform holds a one-shard store and runs the federation node's round
+// loop with no peers (see Run).
 type Platform struct {
 	in    *core.Instance
 	conns []Conn
@@ -145,11 +130,10 @@ type Platform struct {
 	unions [][]int32
 
 	// shard/shards identify this platform's slice of a federated run;
-	// shard is -1 for a standalone platform, whose store is a bare slice
-	// instead of a replicated federation.Store.
+	// shard is -1 for a standalone platform, whose metrics go unlabelled.
 	shard, shards int
 
-	store   countStore
+	store   *federation.Store
 	view    []int // per-slot snapshot of store counts
 	choices []int
 	// inited[u] is set once user u's initial decision is applied; until
@@ -159,10 +143,6 @@ type Platform struct {
 	ctr    *Counter
 	tel    *platformTelemetry
 
-	// async, when non-nil, holds the asynchronous engine this Platform was
-	// configured with (WithAsync); Run delegates to it.
-	async *asyncPlatform
-
 	tr *tracing.Tracer
 	// traceCtx is the span context stamped onto every outgoing message:
 	// the init-phase span during initialization, then the current slot's
@@ -170,8 +150,9 @@ type Platform struct {
 	traceCtx tracing.SpanContext
 	// prof incrementally mirrors the applied decisions when tracing is on,
 	// so per-move events carry exact ΔP_i and ΔΦ (Eq. 8) without a
-	// from-scratch evaluation. It stays nil on shards: remote moves arrive
-	// only as count deltas, so no shard can price ΔΦ exactly.
+	// from-scratch evaluation. It stays nil on a platform that serves only
+	// some users: remote moves arrive only as count deltas, so such a
+	// shard cannot price ΔΦ exactly.
 	prof *core.Profile
 
 	// slotSpan is the open tracing span of the slot in flight, started by
@@ -193,8 +174,8 @@ func (p *Platform) send(li int, m *wire.Message) error {
 // traceMove records one applied (non-initial) decision as a move event
 // with exact ΔP_i and ΔΦ from the incremental profile, keeping the profile
 // in lockstep with the authoritative choices/counts state. Returns the
-// move's ΔΦ (0 when tracing is off, the platform is sharded, or the
-// decision was a no-op).
+// move's ΔΦ (0 when tracing is off, the platform serves only some users,
+// or the decision was a no-op).
 func (p *Platform) traceMove(u, oldRoute, newRoute, slot int) float64 {
 	if p.prof == nil || newRoute == oldRoute {
 		return 0
@@ -395,10 +376,10 @@ func (p *Platform) runInit() error {
 		}
 		p.inited[u] = true
 	}
-	if p.tr.Enabled() && p.shard < 0 {
+	if p.tr.Enabled() && len(p.users) == p.in.NumUsers() {
 		// Track the applied decisions incrementally from here on so every
-		// move event carries its exact ΔP_i and ΔΦ. Shards skip this: they
-		// never see the full profile.
+		// move event carries its exact ΔP_i and ΔΦ. A platform serving only
+		// some users skips this: it never sees the full profile.
 		prof, err := core.NewProfile(p.in, p.choices)
 		if err != nil {
 			return fmt.Errorf("distributed: tracing profile: %w", err)
@@ -504,20 +485,12 @@ func (p *Platform) terminate(slot int) error {
 	return nil
 }
 
-// Run executes the protocol to completion and returns the run statistics.
-// A platform built with WithAsync runs the asynchronous variant (see
-// RunAsync for the async-specific statistics); otherwise this is
-// Algorithm 2 over the served users.
+// Run executes Algorithm 2 over the served users to completion and returns
+// the run statistics. A standalone platform is the peerless case of the
+// federation node: after the init phase it runs the node's round loop as
+// the only shard, whose request exchange and gossip barrier have no peers
+// to wait for.
 func (p *Platform) Run() (stats RunStats, err error) {
-	if p.async != nil {
-		as, err := p.async.Run()
-		return RunStats{
-			Slots:        as.Versions,
-			Converged:    as.Converged,
-			Choices:      as.Choices,
-			TotalUpdates: as.TotalUpdates,
-		}, err
-	}
 	defer func() {
 		stats.MessagesSent = p.ctr.Sent()
 		stats.MessagesReceived = p.ctr.Recv()
@@ -527,45 +500,10 @@ func (p *Platform) Run() (stats RunStats, err error) {
 		return stats, err
 	}
 	p.observe(0, 0, nil, time.Since(runStart))
-	// Decision slots (Algorithm 2 lines 5–10).
-	for slot := 1; slot <= p.cfg.MaxSlots; slot++ {
-		slotTimer := telemetry.StartSpan(p.tel.slotDuration)
-		requests, err := p.collectRequests(slot)
-		if err != nil {
-			return stats, err
-		}
-		if len(requests) == 0 {
-			// Algorithm 2 lines 11–12: equilibrium; terminate everyone.
-			if err := p.terminate(slot); err != nil {
-				return stats, err
-			}
-			stats.Converged = true
-			stats.Choices = append([]int(nil), p.choices...)
-			return stats, nil
-		}
-		stats.Slots = slot
-		stats.RequestsPerSlot = append(stats.RequestsPerSlot, len(requests))
-		selSpan := telemetry.StartSpan(p.tel.selectionTime)
-		winners := selectWinners(p.cfg.Policy, p.rnd, requests)
-		selSpan.End()
-		stats.SelectedPerSlot = append(stats.SelectedPerSlot, len(winners))
-		stats.TotalUpdates += len(winners)
-		if _, err := p.commitSlot(slot, winners); err != nil {
-			return stats, err
-		}
-		p.observe(slot, len(requests), winners, slotTimer.End())
-	}
-	stats.Choices = append([]int(nil), p.choices...)
-	return stats, fmt.Errorf("distributed: %w (%d slots)", ErrNoConvergence, p.cfg.MaxSlots)
-}
-
-// RunAsync executes the asynchronous protocol on a platform built with
-// WithAsync, returning the async-specific statistics.
-func (p *Platform) RunAsync() (AsyncStats, error) {
-	if p.async == nil {
-		return AsyncStats{}, errors.New("distributed: RunAsync on a slot-synchronous platform (build with WithAsync)")
-	}
-	return p.async.Run()
+	p.store.Flush() // close the init epoch, as a node's init broadcast does
+	f := &nodeRun{opts: NodeOptions{Shards: 1}, st: p.store, mesh: &peerMesh{}, plat: p}
+	err = f.slotLoop(1)
+	return f.stats.RunStats, err
 }
 
 // observe builds this slot's Observation (with copies of the mutable
@@ -596,9 +534,8 @@ func (p *Platform) observe(slot, requests int, winners []engine.Request, elapsed
 }
 
 // selectWinners applies a selection policy to a slot's requests
-// (Algorithm 2 line 8). It is shared by the standalone platform and the
-// federation shards, which select over the merged cross-shard request
-// set.
+// (Algorithm 2 line 8). Federation shards select over the merged
+// cross-shard request set.
 func selectWinners(policy SelectionPolicy, rnd *rng.Stream, requests []engine.Request) []engine.Request {
 	switch policy {
 	case PUU:

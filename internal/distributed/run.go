@@ -117,32 +117,45 @@ func ServeTCP(ln net.Listener, in *core.Instance, cfg PlatformConfig) (RunStats,
 // acceptAgents accepts one connection per listed user on ln, identified
 // by its Hello, and returns them in the order of users. The consumed
 // Hello messages are replayed to the protocol via a pushback connection.
+// On error every connection accepted so far is closed, the offending one
+// included.
 func acceptAgents(ln net.Listener, users []int) ([]Conn, error) {
 	index := make(map[int]int, len(users)) // user -> position in users
 	for i, u := range users {
 		index[u] = i
 	}
 	conns := make([]Conn, len(users))
+	fail := func(c Conn, err error) ([]Conn, error) {
+		if c != nil {
+			c.Close()
+		}
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
+			}
+		}
+		return nil, err
+	}
 	for accepted := 0; accepted < len(users); accepted++ {
 		nc, err := ln.Accept()
 		if err != nil {
-			return nil, fmt.Errorf("distributed: accept: %w", err)
+			return fail(nil, fmt.Errorf("distributed: accept: %w", err))
 		}
 		conn := NewNetConn(nc)
 		m, err := conn.Recv()
 		if err != nil {
-			return nil, fmt.Errorf("distributed: reading hello: %w", err)
+			return fail(conn, fmt.Errorf("distributed: reading hello: %w", err))
 		}
 		if m.Kind != wire.KindHello {
-			return nil, fmt.Errorf("distributed: first message was %v, want hello", m.Kind)
+			return fail(conn, fmt.Errorf("distributed: first message was %v, want hello", m.Kind))
 		}
 		u := m.Hello.User
 		i, ok := index[u]
 		if !ok {
-			return nil, fmt.Errorf("distributed: hello from user %d, who is not served here", u)
+			return fail(conn, fmt.Errorf("distributed: hello from user %d, who is not served here", u))
 		}
 		if conns[i] != nil {
-			return nil, fmt.Errorf("distributed: duplicate connection for user %d", u)
+			return fail(conn, fmt.Errorf("distributed: duplicate connection for user %d", u))
 		}
 		conns[i] = &pushbackConn{Conn: conn, pending: []*wire.Message{m}}
 	}
