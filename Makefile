@@ -25,14 +25,15 @@ race:
 # Chaos/soak suite under the race detector: seeded fault injection, agent
 # crash-and-reconnect, the >=100-run soak sweep (TestChaosSoak is skipped
 # by -short elsewhere; here it runs in full), the federated chaos suite,
-# the accept-phase failure paths and the K=1 node/standalone equivalence
+# the accept-phase paths (failures, silent connections, plain agents and
+# mux sessions on one listener) and the K=1 node/standalone equivalence
 # repeated (connection-ownership races show only under repeated, loaded
 # runs), the duplicate-delivery and agent-restart paths of the per-epoch
 # dedup repeated, and the full multi-process multi-node harness including
 # the kill -9 crash/recovery soak.
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/distributed
-	$(GO) test -race -count=3 -run 'TestChaosFederated|TestServeTCPMuxSessionClosesEarly|TestServeTCPClosesAcceptedConnsOnError|TestNodeFederationMatchesInProcess' ./internal/distributed
+	$(GO) test -race -count=3 -run 'TestChaosFederated|TestServeTCPSessionClosesEarly|TestServeTCPClosesAcceptedConnsOnError|TestNodeFederationMatchesInProcess|TestServeTCPSilentConnection|TestServeNodeSilentConnection|TestServeTCPMixedFleet|TestServeNodeMuxedFleets' ./internal/distributed
 	$(GO) test -race -count=5 -run 'TestSeqConn|TestFaultInjectionDuplicates|TestAgentRestart' ./internal/distributed
 	$(GO) test -race -count=1 -timeout 600s ./internal/distributed/e2e
 

@@ -12,6 +12,12 @@
 //	platformd -addr :7700 -dataset Shanghai -seed 9 -users 8 -tasks 20 -policy PUU
 //	# then launch 8 agents:
 //	for i in $(seq 0 7); do useragent -addr :7700 -user $i -dataset Shanghai -seed 9 -users 8 -tasks 20 & done
+//	# or whole fleets, each over one multiplexed connection:
+//	useragent -addr :7700 -user 0,2,4,6 -dataset Shanghai -seed 9 -users 8 -tasks 20 &
+//	useragent -addr :7700 -user 1,3,5,7 -dataset Shanghai -seed 9 -users 8 -tasks 20 &
+//
+// The agent address takes both kinds of connection, one agent each or a
+// mux session, and tells them apart by their first bytes.
 //
 // With -shard k/K the process runs ONE node of a K-node federation: users
 // are partitioned spatially, each node drives the slot protocol for its
@@ -139,7 +145,6 @@ func main() {
 		users     = flag.Int("users", 8, "number of users (agents expected to connect)")
 		tasks     = flag.Int("tasks", 20, "number of sensing tasks")
 		policy    = flag.String("policy", "SUU", "user update selection: SUU or PUU")
-		muxFlag   = flag.Int("mux", 0, "accept this many multiplexed agent connections (see useragent -mux) instead of one TCP connection per agent; 0 = per-agent connections")
 		shardSpec = flag.String("shard", "", "run as node k of a K-node multi-node federation, written k/K (requires -peers)")
 		peers     = flag.String("peers", "", "comma-separated peer-mesh addresses for all K shards, indexed by shard (with -shard); this node listens on its own entry")
 		resume    = flag.Bool("resume", false, "rejoin a running federation after a crash, recovering the count store from a live peer (with -shard)")
@@ -161,12 +166,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *shardSpec != "" && (*muxFlag > 0 || *frontdoor != "") {
-		fmt.Fprintln(os.Stderr, "platformd: -shard cannot be combined with -mux or -frontdoor")
-		os.Exit(2)
-	}
-	if *frontdoor != "" && *muxFlag > 0 {
-		fmt.Fprintln(os.Stderr, "platformd: -frontdoor cannot be combined with -mux")
+	if *shardSpec != "" && *frontdoor != "" {
+		fmt.Fprintln(os.Stderr, "platformd: -shard cannot be combined with -frontdoor")
 		os.Exit(2)
 	}
 	if *shardSpec == "" && (*peers != "" || *resume || *transcr != "" || *slotDelay != 0) {
@@ -353,8 +354,6 @@ func main() {
 		var ns distributed.NodeStats
 		ns, err = distributed.ServeNode(ln, peerLn, in, nopts)
 		stats, node = ns.RunStats, &ns
-	case *muxFlag > 0:
-		stats, err = distributed.ServeTCPMux(ln, in, pcfg, *muxFlag)
 	default:
 		stats, err = distributed.ServeTCP(ln, in, pcfg)
 	}

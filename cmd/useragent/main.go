@@ -1,15 +1,16 @@
-// Command useragent runs one mobile user (Algorithm 1) as a TCP client of
-// cmd/platformd. The agent derives its own preference weights from the
+// Command useragent runs mobile users (Algorithm 1) as TCP clients of
+// cmd/platformd. Each agent derives its own preference weights from the
 // shared scenario flags (or takes them explicitly via -alpha/-beta/-gamma)
 // and participates in the distributed route navigation protocol until a
-// Nash equilibrium is reached.
+// Nash equilibrium is reached. One user gets a connection of its own;
+// a list of users shares one multiplexed connection.
 //
 // Usage:
 //
 //	useragent -addr :7700 -user 3 -dataset Shanghai -seed 9 -users 8 -tasks 20
 //	useragent -addr :7700 -user 3 -alpha 0.8 -beta 0.2 -gamma 0.1
-//	# run a whole fleet over one multiplexed connection (platformd -mux 1):
-//	useragent -addr :7700 -mux 0,1,2,3,4,5,6,7 -dataset Shanghai -seed 9
+//	# run a whole fleet over one multiplexed connection:
+//	useragent -addr :7700 -user 0,1,2,3,4,5,6,7 -dataset Shanghai -seed 9
 package main
 
 import (
@@ -50,7 +51,7 @@ func parseUserList(s string) ([]int, error) {
 func main() {
 	var (
 		addr     = flag.String("addr", ":7700", "platform address")
-		user     = flag.Int("user", -1, "user ID (0-based, required)")
+		user     = flag.String("user", "", "user ID (0-based, required); a comma-separated list runs that fleet over one multiplexed connection")
 		dataset  = flag.String("dataset", "Shanghai", "dataset (must match platformd)")
 		seed     = flag.Uint64("seed", 1, "scenario seed (must match platformd)")
 		users    = flag.Int("users", 8, "number of users (must match platformd)")
@@ -59,89 +60,73 @@ func main() {
 		beta     = flag.Float64("beta", 0, "explicit β_i (0 = derive from scenario)")
 		gamma    = flag.Float64("gamma", 0, "explicit γ_i (0 = derive from scenario)")
 		instance = flag.String("instance", "", "derive weights from this instance JSON (written by platformd -dump-instance)")
-		traceDir = flag.String("trace-dir", "", "record this agent's transport spans (under the platform's trace IDs) and write the flight recorder here on exit")
-		muxList  = flag.String("mux", "", "comma-separated user IDs to run over one multiplexed connection (requires platformd -mux); overrides -user")
+		traceDir = flag.String("trace-dir", "", "record the agents' transport spans (under the platform's trace IDs) and write the flight recorder here on exit")
 	)
 	flag.Parse()
 
-	if *muxList != "" {
-		runMux(*addr, *muxList, *instance, *dataset, *seed, *users, *tasks, *traceDir)
-		return
-	}
-	if *user < 0 {
+	if *user == "" {
 		fmt.Fprintln(os.Stderr, "useragent: -user is required")
 		os.Exit(2)
 	}
-	cfg := distributed.AgentConfig{
-		User: *user, Alpha: *alpha, Beta: *beta, Gamma: *gamma,
-		Seed: *seed + uint64(*user),
+	ids, err := parseUserList(*user)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "useragent: -user: %v\n", err)
+		os.Exit(2)
 	}
-	if *instance != "" && (cfg.Alpha == 0 || cfg.Beta == 0 || cfg.Gamma == 0) {
-		f, err := os.Open(*instance)
-		if err != nil {
+	var in *core.Instance
+	if *alpha == 0 || *beta == 0 || *gamma == 0 {
+		if in, err = loadSharedInstance(*instance, *dataset, *seed, *users, *tasks); err != nil {
 			fmt.Fprintf(os.Stderr, "useragent: %v\n", err)
 			os.Exit(1)
 		}
-		in, err := core.ReadJSON(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "useragent: %v\n", err)
-			os.Exit(1)
-		}
-		if *user >= in.NumUsers() {
-			fmt.Fprintf(os.Stderr, "useragent: user %d outside instance (%d users)\n", *user, in.NumUsers())
-			os.Exit(2)
-		}
-		u := in.Users[*user]
-		cfg.Alpha, cfg.Beta, cfg.Gamma = u.Alpha, u.Beta, u.Gamma
-	}
-	if cfg.Alpha == 0 || cfg.Beta == 0 || cfg.Gamma == 0 {
-		spec, err := trace.SpecByName(*dataset)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "useragent: %v\n", err)
-			os.Exit(2)
-		}
-		w, err := experiments.NewWorld(spec, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "useragent: %v\n", err)
-			os.Exit(1)
-		}
-		sc, err := w.BuildScenario(experiments.ScenarioConfig{Users: *users, Tasks: *tasks}, rng.New(*seed).Child())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "useragent: %v\n", err)
-			os.Exit(1)
-		}
-		if *user >= sc.Instance.NumUsers() {
-			fmt.Fprintf(os.Stderr, "useragent: user %d outside scenario (%d users)\n", *user, sc.Instance.NumUsers())
-			os.Exit(2)
-		}
-		u := sc.Instance.Users[*user]
-		cfg.Alpha, cfg.Beta, cfg.Gamma = u.Alpha, u.Beta, u.Gamma
 	}
 	var tracer *tracing.Tracer
 	if *traceDir != "" {
-		// The agent samples everything locally; its spans carry the trace
-		// IDs propagated by the platform, so the two recorders correlate.
+		// The agents sample everything locally; their spans carry the trace
+		// IDs propagated by the platform, so the recorders correlate.
 		tracer = tracing.New(tracing.Config{})
-		cfg.Tracer = tracer
 	}
-	fmt.Printf("useragent %d: α=%.3f β=%.3f γ=%.3f connecting to %s\n",
-		*user, cfg.Alpha, cfg.Beta, cfg.Gamma, *addr)
-	err := distributed.DialTCP(*addr, cfg)
+	cfgs := make([]distributed.AgentConfig, len(ids))
+	for j, id := range ids {
+		cfg := distributed.AgentConfig{
+			User: id, Alpha: *alpha, Beta: *beta, Gamma: *gamma,
+			Seed: *seed + uint64(id), Tracer: tracer,
+		}
+		if in != nil {
+			if id >= in.NumUsers() {
+				fmt.Fprintf(os.Stderr, "useragent: user %d outside instance (%d users)\n", id, in.NumUsers())
+				os.Exit(2)
+			}
+			u := in.Users[id]
+			cfg.Alpha, cfg.Beta, cfg.Gamma = u.Alpha, u.Beta, u.Gamma
+		}
+		cfgs[j] = cfg
+	}
+	name, prefix := fmt.Sprintf("useragent %d", ids[0]), fmt.Sprintf("agent-%d-final", ids[0])
+	if len(cfgs) == 1 {
+		fmt.Printf("%s: α=%.3f β=%.3f γ=%.3f connecting to %s\n", name, cfgs[0].Alpha, cfgs[0].Beta, cfgs[0].Gamma, *addr)
+	} else {
+		name, prefix = "useragent", "agents-mux-final"
+		fmt.Printf("%s: %d agents over one muxed connection to %s\n", name, len(cfgs), *addr)
+	}
+	err = distributed.DialTCP(*addr, cfgs...)
 	if tracer != nil {
-		prefix := fmt.Sprintf("agent-%d-final", *user)
 		jsonl, chrome, werr := tracer.Snapshot("final").WriteFiles(*traceDir, prefix)
 		if werr != nil {
 			fmt.Fprintf(os.Stderr, "useragent: trace dump: %v\n", werr)
 		} else {
-			fmt.Printf("useragent %d: flight recorder written to %s and %s\n", *user, jsonl, chrome)
+			fmt.Printf("%s: flight recorder written to %s and %s\n", name, jsonl, chrome)
 		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "useragent: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("useragent %d: equilibrium reached, terminating\n", *user)
+	if len(cfgs) == 1 {
+		fmt.Printf("%s: equilibrium reached, terminating\n", name)
+	} else {
+		fmt.Printf("%s: equilibrium reached, %d agents terminated\n", name, len(cfgs))
+	}
 }
 
 // loadSharedInstance builds the full game instance the fleet derives its
@@ -168,49 +153,4 @@ func loadSharedInstance(instance, dataset string, seed uint64, users, tasks int)
 		return nil, err
 	}
 	return sc.Instance, nil
-}
-
-// runMux runs a fleet of agents over one multiplexed TCP connection.
-func runMux(addr, muxUsers, instance, dataset string, seed uint64, users, tasks int, traceDir string) {
-	ids, err := parseUserList(muxUsers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "useragent: -mux: %v\n", err)
-		os.Exit(2)
-	}
-	in, err := loadSharedInstance(instance, dataset, seed, users, tasks)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "useragent: %v\n", err)
-		os.Exit(1)
-	}
-	var tracer *tracing.Tracer
-	if traceDir != "" {
-		tracer = tracing.New(tracing.Config{})
-	}
-	cfgs := make([]distributed.AgentConfig, len(ids))
-	for j, id := range ids {
-		if id >= in.NumUsers() {
-			fmt.Fprintf(os.Stderr, "useragent: user %d outside instance (%d users)\n", id, in.NumUsers())
-			os.Exit(2)
-		}
-		u := in.Users[id]
-		cfgs[j] = distributed.AgentConfig{
-			User: id, Alpha: u.Alpha, Beta: u.Beta, Gamma: u.Gamma,
-			Seed: seed + uint64(id), Tracer: tracer,
-		}
-	}
-	fmt.Printf("useragent: %d agents over one muxed connection to %s\n", len(ids), addr)
-	err = distributed.DialTCPMux(addr, cfgs)
-	if tracer != nil {
-		jsonl, chrome, werr := tracer.Snapshot("final").WriteFiles(traceDir, "agents-mux-final")
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "useragent: trace dump: %v\n", werr)
-		} else {
-			fmt.Printf("useragent: flight recorder written to %s and %s\n", jsonl, chrome)
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "useragent: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("useragent: equilibrium reached, %d agents terminated\n", len(ids))
 }

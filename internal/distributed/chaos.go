@@ -50,11 +50,11 @@ type ChaosOptions struct {
 	// channels multiplexed over one shared stream here. The fault, retry,
 	// dedup, and tracing decorators stack on top of whatever Links returns.
 	Links func(user int) (platform, agent Conn, err error)
-	// Shards, when > 1, runs the federated platform path: users are
-	// partitioned spatially across Shards ServeNode shards meshed over
-	// loopback TCP (see RunFederatedInProcess). The agent-side fault and
-	// crash machinery is unchanged; every shard rides out its own users'
-	// faults locally. Platform.Observer must be unset.
+	// Shards is the number of ServeNode shards the platform side runs as,
+	// meshed over loopback TCP (see RunFederatedInProcess); 0 or 1 runs
+	// one node, which behaves like a standalone platform. Every shard
+	// rides out its own users' faults locally. With more than one shard,
+	// Platform.Observer must be unset.
 	Shards int
 }
 
@@ -66,16 +66,16 @@ const DefaultMaxRestarts = 3
 type ChaosStats struct {
 	RunStats
 	// Potentials holds the weighted potential Φ after initialization and
-	// after every decision slot that applied updates. Theorem 2 promises it
-	// is monotone non-decreasing.
+	// after every decision slot that applied updates, replayed from the
+	// run's selection transcript. Theorem 2 promises it is monotone
+	// non-decreasing.
 	Potentials []float64
 	// Restarts counts agent incarnations beyond the first, summed over all
 	// agents.
 	Restarts int
 	// Faults tallies every injected fault across all links.
 	Faults map[FaultKind]int
-	// Nodes holds each shard's own view of the run when it used
-	// Shards > 1; nil otherwise.
+	// Nodes holds each shard's own view of the run.
 	Nodes []NodeStats
 }
 
@@ -129,47 +129,6 @@ func runChaos(in *core.Instance, opts ChaosOptions) (ChaosStats, error) {
 		agentFault[i] = NewFaultConn(ac, prof, faultSeed(opts.Seed, i, 1), log).WithTracer(tr, i)
 	}
 
-	var stats ChaosStats
-	// runPlatform starts the platform side: the classic single platform,
-	// recording Φ after init and after every slot that changed the
-	// profile, or — when Shards > 1 — the federation, whose potential trace
-	// is replayed from its global transcript.
-	runPlatform := func() (RunStats, error) {
-		if opts.Shards > 1 {
-			fs, err := runNodes(in, FederatedOptions{Shards: opts.Shards, Platform: opts.Platform}, platConns)
-			stats.Nodes = fs.Nodes
-			if err != nil {
-				return fs.RunStats, err
-			}
-			final, pots, err := ReplayTranscript(in, fs.Transcript)
-			if err != nil {
-				return fs.RunStats, err
-			}
-			if !slices.Equal(final, fs.Choices) {
-				return fs.RunStats, errors.New("distributed: replayed transcript disagrees with the shards' final routes")
-			}
-			stats.Potentials = pots
-			return fs.RunStats, nil
-		}
-		// The platform invokes observers sequentially, so no lock is
-		// needed for the trace itself.
-		cfg := opts.Platform
-		cfg.ObservePotential = true
-		cfg.Observer = func(o Observation) {
-			if o.PotentialValid {
-				stats.Potentials = append(stats.Potentials, o.Potential)
-			}
-			if opts.Platform.Observer != nil {
-				opts.Platform.Observer(o)
-			}
-		}
-		plat, perr := New(in, platConns, WithConfig(cfg))
-		if perr != nil {
-			return RunStats{}, perr
-		}
-		return plat.Run()
-	}
-
 	var (
 		wg        sync.WaitGroup
 		mu        sync.Mutex
@@ -218,7 +177,17 @@ func runChaos(in *core.Instance, opts ChaosOptions) (ChaosStats, error) {
 		}(i)
 	}
 
-	run, perr := runPlatform()
+	// The platform side is a federation of max(Shards, 1) nodes; the
+	// potential trace is replayed from its global transcript.
+	var stats ChaosStats
+	fs, perr := runNodes(in, FederatedOptions{Shards: opts.Shards, Platform: opts.Platform}, platConns)
+	if perr == nil {
+		var final []int
+		final, stats.Potentials, perr = ReplayTranscript(in, fs.Transcript)
+		if perr == nil && !slices.Equal(final, fs.Choices) {
+			perr = errors.New("distributed: replayed transcript disagrees with the shards' final routes")
+		}
+	}
 	if perr != nil {
 		// Unblock any agents still parked in Recv.
 		for i := 0; i < n; i++ {
@@ -226,7 +195,7 @@ func runChaos(in *core.Instance, opts ChaosOptions) (ChaosStats, error) {
 		}
 	}
 	wg.Wait()
-	stats.RunStats = run
+	stats.RunStats, stats.Nodes = fs.RunStats, fs.Nodes
 	mu.Lock()
 	stats.Restarts = restarts
 	mu.Unlock()

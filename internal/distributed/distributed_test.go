@@ -3,6 +3,7 @@ package distributed
 import (
 	"errors"
 	"net"
+	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -647,5 +648,61 @@ func TestServeTCPClosesAcceptedConnsOnError(t *testing.T) {
 		if err == nil || errors.As(err, &ne) && ne.Timeout() {
 			t.Errorf("connection %d still open after ServeTCP failed: read returned %v", i, err)
 		}
+	}
+}
+
+// TestServeTCPSilentConnection is the regression for a stalled accept
+// phase: a connection that connects and never sends, as a port scan or a
+// TCP health probe does, must not keep the platform from linking its
+// agents, and is closed once they are linked.
+func TestServeTCPSilentConnection(t *testing.T) {
+	in := randomInstance(6, 6, 10)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	done := make(chan error, 1)
+	go func() {
+		stats, err := ServeTCP(ln, in, PlatformConfig{Policy: PUU, Seed: 9})
+		if err == nil && !stats.Converged {
+			err = errors.New("run did not converge")
+		}
+		done <- err
+	}()
+	var wg sync.WaitGroup
+	agentErrs := make([]error, in.NumUsers())
+	for i := 0; i < in.NumUsers(); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			agentErrs[i] = DialTCP(ln.Addr().String(), AgentConfig{
+				User: i, Alpha: in.Users[i].Alpha, Beta: in.Users[i].Beta,
+				Gamma: in.Users[i].Gamma, Seed: uint64(i) + 77,
+			})
+		}(i)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ServeTCP still running 10s after its agents dialed")
+	}
+	wg.Wait()
+	for i, e := range agentErrs {
+		if e != nil {
+			t.Fatalf("agent %d: %v", i, e)
+		}
+	}
+	silent.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := silent.Read(make([]byte, 1)); err == nil || os.IsTimeout(err) {
+		t.Errorf("silent connection still open after ServeTCP returned: read returned %v", err)
 	}
 }

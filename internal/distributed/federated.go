@@ -41,9 +41,11 @@ type FederatedOptions struct {
 	// Shards is the shard count K; 0 or 1 runs a single-shard federation
 	// (the federated code path with no peers, useful as a baseline).
 	Shards int
-	// Platform carries the per-shard platform configuration. Observer and
-	// ObservePotential must be unset: no shard sees the global profile.
-	// Replay FederatedStats.Transcript (ReplayTranscript) instead.
+	// Platform carries the per-shard platform configuration. With more
+	// than one shard, Observer and ObservePotential must be unset: no
+	// shard sees the global profile. Replay FederatedStats.Transcript
+	// (ReplayTranscript) instead. A one-shard federation observes like a
+	// standalone platform.
 	Platform PlatformConfig
 	// Partition overrides user placement; the zero value partitions
 	// spatially (federation.Spatial).
@@ -91,10 +93,10 @@ func runNodes(in *core.Instance, opts FederatedOptions, conns []Conn) (stats Fed
 	if err := in.Validate(); err != nil {
 		return stats, fmt.Errorf("distributed: %w", err)
 	}
-	if opts.Platform.Observer != nil || opts.Platform.ObservePotential {
+	K := max(opts.Shards, 1)
+	if K > 1 && (opts.Platform.Observer != nil || opts.Platform.ObservePotential) {
 		return stats, errors.New("distributed: a federation has no global profile to observe; replay FederatedStats.Transcript instead")
 	}
-	K := max(opts.Shards, 1)
 	part, err := resolvePartition(in, opts.Partition, K)
 	if err != nil {
 		return stats, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -307,6 +308,54 @@ func TestFederatedSelectionHistogram(t *testing.T) {
 		name := fmt.Sprintf(`distributed_selection_seconds{shard="%d"}`, ns.Shard)
 		if got := snap.Histograms[name].Count; got != uint64(ns.Slots) {
 			t.Errorf("%s has %d observations, want %d (one per slot)", name, got, ns.Slots)
+		}
+	}
+}
+
+// TestFederatedOneShardObserves checks a one-shard federation behaves like
+// a standalone platform toward its monitors: its DET Observer stream
+// equals the in-process platform's, and no metric name in its registry
+// carries a shard label.
+func TestFederatedOneShardObserves(t *testing.T) {
+	in := randomInstance(19, 12, 8)
+	observe := func(stream *[]string) func(Observation) {
+		return func(o Observation) {
+			*stream = append(*stream, fmt.Sprintf("slot %d requests %d granted %v choices %v phi %v %v",
+				o.Slot, o.Requests, o.GrantedUsers, o.Choices, o.Potential, o.PotentialValid))
+		}
+	}
+	var want, got []string
+	if _, err := RunInProcess(in, InProcessOptions{
+		Platform:      PlatformConfig{Policy: Deterministic, Observer: observe(&want), ObservePotential: true, Telemetry: telemetry.NewRegistry()},
+		AgentSeedBase: 5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	if _, err := RunFederatedInProcess(in, FederatedOptions{
+		Shards:   1,
+		Platform: PlatformConfig{Policy: Deterministic, Observer: observe(&got), ObservePotential: true, Telemetry: reg},
+	}, InProcessOptions{AgentSeedBase: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 2 {
+		t.Fatalf("standalone run observed %d slots; the check needs a decision slot", len(want))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("one-shard observer stream diverges:\n got: %q\nwant: %q", got, want)
+	}
+	snap := reg.Snapshot()
+	if len(snap.Counters) == 0 {
+		t.Fatal("one-shard federation registered no counters")
+	}
+	for name := range snap.Counters {
+		if strings.Contains(name, "shard=") {
+			t.Errorf("one-shard metric %s carries a shard label", name)
+		}
+	}
+	for name := range snap.Histograms {
+		if strings.Contains(name, "shard=") {
+			t.Errorf("one-shard metric %s carries a shard label", name)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distributed/federation"
-	"repro/internal/wire"
 )
 
 // The front door is the thin agent-facing entry point of a multi-node
@@ -21,8 +20,10 @@ import (
 // replays the raw frame to the shard, and then splices bytes both ways —
 // the protocol runs end to end between agent and shard, with the front
 // door invisible to both. Only per-connection agents can be routed; a
-// multiplexed fleet (useragent -mux) interleaves many users on one byte
-// stream and is rejected at the first frame.
+// multiplexed fleet (useragent -user a,b,c) interleaves many users on one
+// byte stream and is rejected at the first frame. Such a fleet dials its
+// shard's agent address directly, which takes mux sessions and plain
+// agents alike.
 
 // FrontDoorOptions configures ServeFrontDoor.
 type FrontDoorOptions struct {
@@ -100,18 +101,10 @@ func ServeFrontDoor(ln net.Listener, in *core.Instance, opts FrontDoorOptions) e
 // closes.
 func routeAgent(agent net.Conn, in *core.Instance, part federation.Partition, opts FrontDoorOptions) error {
 	defer agent.Close()
-	raw, err := wire.ReadRawFrame(agent)
+	u, raw, err := readHello(agent)
 	if err != nil {
-		return fmt.Errorf("reading hello frame: %w", err)
+		return err
 	}
-	m, err := wire.DecodeRawFrame(raw)
-	if err != nil {
-		return fmt.Errorf("decoding hello frame: %w", err)
-	}
-	if m.Kind != wire.KindHello {
-		return fmt.Errorf("first frame was %v, want hello (is the agent using -mux?)", m.Kind)
-	}
-	u := m.Hello.User
 	if u < 0 || u >= in.NumUsers() {
 		return fmt.Errorf("hello from unknown user %d", u)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -178,10 +179,10 @@ func TestMuxChaosStalledSibling(t *testing.T) {
 	}
 }
 
-// TestServeTCPMux runs the full protocol over real TCP with agents packed
-// onto two multiplexed connections, exercising ServeTCPMux/DialTCPMux end
-// to end.
-func TestServeTCPMux(t *testing.T) {
+// TestServeTCPTakesMuxSessions runs the full protocol over real TCP with
+// agents packed onto two multiplexed connections, exercising ServeTCP and
+// a several-agent DialTCP end to end.
+func TestServeTCPTakesMuxSessions(t *testing.T) {
 	in := randomInstance(8, 8, 12)
 	n := in.NumUsers()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -195,7 +196,7 @@ func TestServeTCPMux(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		stats, err := ServeTCPMux(ln, in, PlatformConfig{Policy: SUU, Seed: 3}, 2)
+		stats, err := ServeTCP(ln, in, PlatformConfig{Policy: SUU, Seed: 3})
 		done <- out{stats, err}
 	}()
 	// Split the agent fleet across two muxed TCP connections.
@@ -223,7 +224,7 @@ func TestServeTCPMux(t *testing.T) {
 		wg.Add(1)
 		go func(s int, users []int) {
 			defer wg.Done()
-			dialErrs[s] = DialTCPMux(ln.Addr().String(), mkCfgs(users))
+			dialErrs[s] = DialTCP(ln.Addr().String(), mkCfgs(users)...)
 		}(s, users)
 	}
 	wg.Wait()
@@ -244,9 +245,9 @@ func TestServeTCPMux(t *testing.T) {
 	}
 }
 
-// TestServeTCPMuxRejectsUnknownUser checks the platform kills a session
+// TestServeTCPRejectsUnknownMuxUser checks the platform kills a session
 // that opens a channel outside the instance's user range.
-func TestServeTCPMuxRejectsUnknownUser(t *testing.T) {
+func TestServeTCPRejectsUnknownMuxUser(t *testing.T) {
 	in := randomInstance(9, 4, 6)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -255,21 +256,23 @@ func TestServeTCPMuxRejectsUnknownUser(t *testing.T) {
 	defer ln.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := ServeTCPMux(ln, in, PlatformConfig{}, 1)
+		_, err := ServeTCP(ln, in, PlatformConfig{})
 		done <- err
 	}()
-	err = DialTCPMux(ln.Addr().String(), []AgentConfig{{User: 99, Alpha: 0.5, Beta: 0.5, Gamma: 0.5}})
+	// Two agents, so they share one mux session.
+	err = DialTCP(ln.Addr().String(),
+		AgentConfig{User: 99, Alpha: 0.5, Beta: 0.5, Gamma: 0.5},
+		AgentConfig{User: 0, Alpha: 0.5, Beta: 0.5, Gamma: 0.5})
 	if serr := <-done; serr == nil {
-		t.Fatal("ServeTCPMux accepted a link for an unknown user")
+		t.Fatal("ServeTCP accepted a mux link for an unknown user")
 	}
 	_ = err // the agent side fails too once the platform tears down
 }
 
-// TestServeTCPMuxSessionClosesEarly is the regression for a hang: a session
-// that closes before it has opened every user's link must end ServeTCPMux
-// with an error once no session is left to open the rest, not leave it
-// waiting for links forever.
-func TestServeTCPMuxSessionClosesEarly(t *testing.T) {
+// TestServeTCPSessionClosesEarly is the regression for a hang: a mux
+// session that closes before every user's link is open must end ServeTCP
+// with an error, not leave it waiting for links forever.
+func TestServeTCPSessionClosesEarly(t *testing.T) {
 	in := randomInstance(9, 4, 6)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -278,7 +281,7 @@ func TestServeTCPMuxSessionClosesEarly(t *testing.T) {
 	defer ln.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := ServeTCPMux(ln, in, PlatformConfig{}, 1)
+		_, err := ServeTCP(ln, in, PlatformConfig{})
 		done <- err
 	}()
 	nc, err := net.Dial("tcp", ln.Addr().String())
@@ -299,9 +302,70 @@ func TestServeTCPMuxSessionClosesEarly(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("ServeTCPMux reported success with 1 of 4 users linked")
+			t.Fatal("ServeTCP reported success with 1 of 4 users linked")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ServeTCPMux still waiting for links 5s after its only session closed")
+		t.Fatal("ServeTCP still waiting for links 5s after its only session closed")
+	}
+}
+
+// TestServeTCPMixedFleet serves plain agents and two mux sessions on one
+// listener: the DET run must match the in-process platform's slots and
+// choices.
+func TestServeTCPMixedFleet(t *testing.T) {
+	in := randomInstance(8, 10, 12)
+	want, err := RunInProcess(in, InProcessOptions{
+		Platform:      PlatformConfig{Policy: Deterministic, Seed: 3},
+		AgentSeedBase: 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	type out struct {
+		stats RunStats
+		err   error
+	}
+	done := make(chan out, 1)
+	go func() {
+		stats, err := ServeTCP(ln, in, PlatformConfig{Policy: Deterministic, Seed: 3})
+		done <- out{stats, err}
+	}()
+	// Users 0–3 dial one connection each; 4, 6, 8 and 5, 7, 9 each share
+	// a mux session.
+	fleets := [][]int{{0}, {1}, {2}, {3}, {4, 6, 8}, {5, 7, 9}}
+	var wg sync.WaitGroup
+	dialErrs := make([]error, len(fleets))
+	for i, users := range fleets {
+		cfgs := make([]AgentConfig, len(users))
+		for j, u := range users {
+			cfgs[j] = AgentConfig{
+				User: u, Alpha: in.Users[u].Alpha, Beta: in.Users[u].Beta,
+				Gamma: in.Users[u].Gamma, Seed: 40 + uint64(u),
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dialErrs[i] = DialTCP(ln.Addr().String(), cfgs...)
+		}()
+	}
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	wg.Wait()
+	for i, e := range dialErrs {
+		if e != nil {
+			t.Fatalf("agents %v: %v", fleets[i], e)
+		}
+	}
+	if res.stats.Slots != want.Slots || !slices.Equal(res.stats.Choices, want.Choices) {
+		t.Errorf("mixed TCP fleet: %d slots, choices %v; in-process: %d slots, choices %v",
+			res.stats.Slots, res.stats.Choices, want.Slots, want.Choices)
 	}
 }

@@ -81,7 +81,8 @@ type NodeOptions struct {
 	// Platform carries the shard-local platform configuration. Policy and
 	// Seed MUST match across all nodes: winner selection is computed
 	// independently on every shard from the identical merged request
-	// sequence.
+	// sequence. With K > 1 its Observer and ObservePotential are ignored:
+	// no shard sees the global profile.
 	Platform PlatformConfig
 	// Partition overrides user placement; the zero value partitions
 	// spatially (federation.Spatial). Every node (and the front door)
@@ -158,22 +159,19 @@ type nodeRun struct {
 
 // ServeNode runs shard opts.Shard of a K-node federation: it establishes
 // the peer mesh (recovering state from peers first when opts.Resume is
-// set), accepts its owned users' agent connections on agentLn, and drives
-// the symmetric federated protocol to completion. It takes ownership of
-// both listeners and of the accepted connections, and closes them all on
-// return.
+// set), accepts its owned users' agent links on agentLn (plain agent
+// connections or mux sessions, see acceptLinks), and drives the symmetric
+// federated protocol to completion. It takes ownership of both listeners
+// and of the accepted connections: agentLn closes once the owned users are
+// linked, everything else on return.
 func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions) (NodeStats, error) {
 	defer agentLn.Close()
-	var conns []Conn
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
+	var links agentLinks
+	defer links.close()
 	return serveNode(peerLn, in, opts, func(part federation.Partition) ([]Conn, error) {
 		var err error
-		conns, err = acceptAgents(agentLn, part.Owned[opts.Shard])
-		return conns, err
+		links, err = acceptLinks(agentLn, part.Owned[opts.Shard])
+		return links.conns, err
 	}, nil)
 }
 
@@ -263,9 +261,14 @@ func serveNode(peerLn net.Listener, in *core.Instance, opts NodeOptions, agents 
 	if err != nil {
 		return f.stats, err
 	}
+	// A shard of K > 1 sees only its own users' routes, so it has no
+	// global profile to observe; a one-shard node observes like a
+	// standalone platform.
 	shardCfg := opts.Platform
-	shardCfg.Observer = nil
-	shardCfg.ObservePotential = false
+	if K > 1 {
+		shardCfg.Observer = nil
+		shardCfg.ObservePotential = false
+	}
 	f.plat, err = New(in, conns, WithConfig(shardCfg), WithShard(opts.Shard, K), WithUsers(owned), withStore(st))
 	if err != nil {
 		return f.stats, fmt.Errorf("distributed: shard %d: %w", opts.Shard, err)
@@ -274,9 +277,11 @@ func serveNode(peerLn net.Listener, in *core.Instance, opts NodeOptions, agents 
 		stats.MessagesSent = f.plat.ctr.Sent()
 		stats.MessagesReceived = f.plat.ctr.Recv()
 	}()
+	initStart := time.Now()
 	if err := f.plat.runInit(); err != nil {
 		return f.stats, err
 	}
+	f.plat.observe(0, 0, nil, time.Since(initStart))
 	for _, u := range owned {
 		f.tw.printf("init user %d route %d\n", u, f.plat.choices[u])
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -26,6 +27,22 @@ func nodeTestInstance() *core.Instance {
 // every agent a goroutine dialing its owning shard — and returns the
 // per-node transcripts and stats.
 func runNodeFederation(t *testing.T, in *core.Instance, K int, policy SelectionPolicy) ([]*bytes.Buffer, []NodeStats) {
+	return runNodeFleet(t, in, K, policy, nodeFleet{})
+}
+
+// nodeFleet says how runNodeFleet's agents reach their shards.
+type nodeFleet struct {
+	// muxed dials each shard's agents as one mux session instead of one
+	// connection per agent.
+	muxed bool
+	// silent first opens a connection to every shard that never sends,
+	// and checks the shard closes it once its agents are linked.
+	silent bool
+}
+
+// runNodeFleet is runNodeFederation with the agents dialing as fleet
+// says. The nodes must finish within 30 s.
+func runNodeFleet(t *testing.T, in *core.Instance, K int, policy SelectionPolicy, fleet nodeFleet) ([]*bytes.Buffer, []NodeStats) {
 	t.Helper()
 	part, err := federation.Spatial(in, K)
 	if err != nil {
@@ -42,6 +59,17 @@ func runNodeFederation(t *testing.T, in *core.Instance, K int, policy SelectionP
 			t.Fatal(err)
 		}
 		peerAddrs[k] = peerLns[k].Addr().String()
+	}
+	var silent []net.Conn
+	if fleet.silent {
+		for _, ln := range agentLns {
+			nc, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			silent = append(silent, nc)
+		}
 	}
 	transcripts := make([]*bytes.Buffer, K)
 	stats := make([]NodeStats, K)
@@ -60,29 +88,62 @@ func runNodeFederation(t *testing.T, in *core.Instance, K int, policy SelectionP
 			})
 		}(k)
 	}
-	var agents sync.WaitGroup
-	agentErrs := make([]error, in.NumUsers())
+	// Each fleet dials its shard with one DialTCP call: one agent per
+	// fleet, or every owned user in one mux session.
+	var fleets [][]int
 	for u := 0; u < in.NumUsers(); u++ {
-		agents.Add(1)
-		go func(u int) {
-			defer agents.Done()
-			agentErrs[u] = DialTCP(agentLns[part.Assign[u]].Addr().String(), AgentConfig{
+		fleets = append(fleets, []int{u})
+	}
+	if fleet.muxed {
+		fleets = part.Owned
+		for k, owned := range fleets {
+			if len(owned) < 2 {
+				t.Fatalf("shard %d owns %d users, too few for a mux session", k, len(owned))
+			}
+		}
+	}
+	var agents sync.WaitGroup
+	agentErrs := make([]error, len(fleets))
+	for i, users := range fleets {
+		cfgs := make([]AgentConfig, len(users))
+		for j, u := range users {
+			cfgs[j] = AgentConfig{
 				User:  u,
 				Alpha: in.Users[u].Alpha, Beta: in.Users[u].Beta, Gamma: in.Users[u].Gamma,
 				Seed: 1 + uint64(u),
-			})
-		}(u)
+			}
+		}
+		agents.Add(1)
+		go func() {
+			defer agents.Done()
+			agentErrs[i] = DialTCP(agentLns[part.Assign[users[0]]].Addr().String(), cfgs...)
+		}()
 	}
-	nodes.Wait()
-	agents.Wait()
+	finished := make(chan struct{})
+	go func() {
+		nodes.Wait()
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("nodes still running 30s after their agents dialed")
+	}
 	for k, err := range errs {
 		if err != nil {
 			t.Fatalf("node %d: %v", k, err)
 		}
 	}
-	for u, err := range agentErrs {
+	agents.Wait()
+	for i, err := range agentErrs {
 		if err != nil {
-			t.Fatalf("agent %d: %v", u, err)
+			t.Fatalf("agents %v: %v", fleets[i], err)
+		}
+	}
+	for k, nc := range silent {
+		nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := nc.Read(make([]byte, 1)); err == nil || os.IsTimeout(err) {
+			t.Errorf("node %d left its silent connection open: read returned %v", k, err)
 		}
 	}
 	return transcripts, stats
@@ -426,5 +487,51 @@ func TestServeNodeLeavesHandedInConnsOpen(t *testing.T) {
 		if err != nil {
 			t.Errorf("agent %d: %v", u, err)
 		}
+	}
+}
+
+// TestServeNodeSilentConnection is the regression for a stalled accept
+// phase: a connection that never sends must not keep a shard from linking
+// its agents, and the shard closes it once they are linked.
+func TestServeNodeSilentConnection(t *testing.T) {
+	_, nodeStats := runNodeFleet(t, nodeTestInstance(), 2, Deterministic, nodeFleet{silent: true})
+	for _, st := range nodeStats {
+		if !st.Converged {
+			t.Fatalf("node %d did not converge", st.Shard)
+		}
+	}
+}
+
+// TestServeNodeMuxedFleets runs a K=2 federation whose agents reach each
+// shard as one mux session: its global transcript must equal the
+// in-process federation's.
+func TestServeNodeMuxedFleets(t *testing.T) {
+	in := nodeTestInstance()
+	const K = 2
+	fed, err := RunFederatedInProcess(in, FederatedOptions{
+		Shards:   K,
+		Platform: PlatformConfig{Policy: PUU, Seed: 1},
+	}, InProcessOptions{AgentSeedBase: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	transcripts, nodeStats := runNodeFleet(t, in, K, PUU, nodeFleet{muxed: true})
+	texts := make([]string, K)
+	for k, tr := range transcripts {
+		if !nodeStats[k].Converged {
+			t.Fatalf("node %d did not converge", k)
+		}
+		texts[k] = tr.String()
+	}
+	part, err := federation.Spatial(in, K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := globalTranscript(part, texts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != fed.Transcript {
+		t.Errorf("muxed TCP federation diverges from the in-process federation:\n got:\n%s\nwant:\n%s", got, fed.Transcript)
 	}
 }

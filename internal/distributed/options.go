@@ -186,7 +186,11 @@ func New(in *core.Instance, conns []Conn, opts ...Option) (*Platform, error) {
 		reg = telemetry.Default()
 	}
 
-	tel := newPlatformTelemetry(reg, users, s.shard)
+	label := s.shard // only a shard of K > 1 labels its metrics
+	if s.shards <= 1 {
+		label = -1
+	}
+	tel := newPlatformTelemetry(reg, users, label)
 	ctr := &Counter{}
 	wrapped := make([]Conn, len(conns))
 	for li, c := range conns {

@@ -99,21 +99,26 @@ func ReplayTranscript(in *core.Instance, transcript string) (choices []int, pote
 			grants = append(grants, g)
 		}
 	}
-	prof, err := core.NewProfile(in, choices)
-	if err != nil {
-		return nil, nil, fmt.Errorf("distributed: transcript init section: %w", err)
-	}
-	potentials = []float64{prof.Potential()}
-	for i := 0; i < len(grants); {
+	// Φ is evaluated afresh after the init lines and after every slot, as
+	// PlatformConfig.ObservePotential does, so the trace is bit-for-bit the
+	// observed one, not an incremental sum over the moves.
+	for i := 0; ; {
+		prof, err := core.NewProfile(in, choices)
+		if err != nil {
+			// Only the init section can leave a user without a route.
+			return nil, nil, fmt.Errorf("distributed: transcript init section: %w", err)
+		}
+		potentials = append(potentials, prof.Potential())
+		if i == len(grants) {
+			break
+		}
 		slot := grants[i].slot
 		if slot != len(potentials) {
 			return nil, nil, fmt.Errorf("distributed: transcript slot %d follows slot %d", slot, len(potentials)-1)
 		}
 		for ; i < len(grants) && grants[i].slot == slot; i++ {
-			prof.SetChoice(core.UserID(grants[i].user), grants[i].route)
 			choices[grants[i].user] = grants[i].route
 		}
-		potentials = append(potentials, prof.Potential())
 	}
 	return choices, potentials, nil
 }

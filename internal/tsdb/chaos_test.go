@@ -36,8 +36,9 @@ func TestChaosPotentialSeriesNonDecreasing(t *testing.T) {
 
 	stats, err := distributed.RunChaos(in, distributed.ChaosOptions{
 		Platform: distributed.PlatformConfig{
-			Policy:   distributed.Deterministic,
-			Observer: rec.Observer(),
+			Policy:           distributed.Deterministic,
+			Observer:         rec.Observer(),
+			ObservePotential: true,
 		},
 		Seed:            77,
 		AgentSeedBase:   100,

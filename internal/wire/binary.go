@@ -196,6 +196,23 @@ func ReadRawFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
+// FrameHeadLen is how many leading bytes of a connection IsFrameHead needs.
+const FrameHeadLen = 6
+
+// IsFrameHead reports whether head, the first FrameHeadLen bytes of a
+// connection, starts a plain length-prefixed frame rather than a mux
+// session: a plain frame carries the magic 'v','c' right after its 4-byte
+// length prefix. A mux session opens with a uvarint channel ID, a frame
+// type byte and a data frame's length prefix. For a channel ID of one or
+// two varint bytes, byte 5 is then a high byte of a length below
+// MaxFrameLen, at most 0x0f and never 'c' (0x63). For a three-byte ID (the
+// mux accepts IDs up to 1<<20) bytes 4 and 5 are the low bytes of the first
+// frame's length; that frame is an agent's Hello, far shorter than the
+// 0x63xx bytes the magic would need.
+func IsFrameHead(head []byte) bool {
+	return len(head) >= FrameHeadLen && head[4] == binaryMagic0 && head[5] == binaryMagic1
+}
+
 // DecodeRawFrame decodes a frame captured by ReadRawFrame (length prefix
 // included) into a freshly allocated Message.
 func DecodeRawFrame(raw []byte) (*Message, error) {

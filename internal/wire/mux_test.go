@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -388,5 +389,51 @@ func TestMuxHostileChannelID(t *testing.T) {
 	go server.Write(frame)
 	if _, err := recvTimeout(t, c); err == nil {
 		t.Fatal("session survived hostile channel id")
+	}
+}
+
+// TestIsFrameHead checks the classifier that lets one listener take both
+// kinds of agent connection: the first FrameHeadLen bytes of a plain Hello
+// frame are a frame head, and those of a mux session opening with a Hello
+// data frame never are, whatever the channel ID.
+func TestIsFrameHead(t *testing.T) {
+	hellos := map[string]*Message{
+		"minimal": {Kind: KindHello, Hello: &Hello{}},
+		"maximal": {
+			Kind: KindHello, Seq: math.MaxUint64, Epoch: math.MaxUint32, From: math.MaxInt64,
+			TraceID: math.MaxUint64, SpanID: math.MaxUint64, TraceFlags: math.MaxUint8,
+			Hello: &Hello{User: math.MaxInt64, Resume: true},
+		},
+	}
+	for name, hello := range hellos {
+		plain, err := AppendFrame(nil, hello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !IsFrameHead(plain[:FrameHeadLen]) {
+			t.Errorf("%s plain hello % x not classified as a frame head", name, plain[:FrameHeadLen])
+		}
+		for _, id := range []uint32{0, 0x63, 0x76, 127, 128, 0x6376, 16383, 16384, 1 << 20} {
+			// Capture the session's first bytes as a real mux writes them.
+			a, b := net.Pipe()
+			m := NewMux(a, MuxOptions{})
+			c, err := m.Channel(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Send(hello); err != nil {
+				t.Fatal(err)
+			}
+			head := make([]byte, FrameHeadLen)
+			_, err = io.ReadFull(b, head)
+			m.Close()
+			b.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if IsFrameHead(head) {
+				t.Errorf("%s mux hello on channel %#x (% x) classified as a plain frame head", name, id, head)
+			}
+		}
 	}
 }
