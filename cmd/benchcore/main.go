@@ -206,6 +206,9 @@ func main() {
 			if e.MsgsPerSec > 0 {
 				line += fmt.Sprintf(" %14.0f msgs/sec", e.MsgsPerSec)
 			}
+			if e.ReadsPerMsg > 0 {
+				line += fmt.Sprintf(" %6.2f reads/msg", e.ReadsPerMsg)
+			}
 			fmt.Println(line)
 		}
 		for _, s := range rep.Speedups {

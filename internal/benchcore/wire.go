@@ -14,11 +14,11 @@ import (
 
 // This file is the wire-codec counterpart of the other suites: it measures
 // the hand-rolled binary codec against the gob oracle per message kind,
-// plus the multiplexer's frame path, and serializes BENCH_wire.json. The
-// contract is the PR's transport gate — the binary codec must beat gob by
-// the configured factor on the protocol hot path (SlotInfo out, Request
-// in, every user, every slot) and the steady-state encode/decode of the
-// per-slot kinds must be allocation-free.
+// plus streamed decoding over a pipe and the multiplexer's frame path, and
+// serializes BENCH_wire.json. The contract is the PR's transport gate —
+// the binary codec must beat gob by the configured factor on the protocol
+// hot path (SlotInfo out, Request in, every user, every slot) and the
+// steady-state encode/decode of the per-slot kinds must be allocation-free.
 
 // benchMessage builds a realistic instance of each benchmarked kind: the
 // payload sizes mirror an 8-route, 12-task scenario, which is what the
@@ -117,6 +117,58 @@ func BinaryDecode(k wire.Kind) func(b *testing.B) {
 	}
 }
 
+// countingReader counts the Read calls that reach its reader.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// StreamedDecode measures the binary decode path as a live agent link runs
+// it: SlotInfo frames arrive one write at a time over net.Pipe and one
+// codec decodes them in turn. Besides ns/msg it reports reads/msg, the Read
+// calls that reached the pipe per decoded frame.
+func StreamedDecode() func(b *testing.B) {
+	return func(b *testing.B) {
+		frame, err := wire.AppendFrame(nil, benchMessage(wire.KindSlotInfo))
+		if err != nil {
+			b.Fatal(err)
+		}
+		w, r := net.Pipe()
+		defer r.Close()
+		done := make(chan error, 1)
+		go func() {
+			defer w.Close()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.Write(frame); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		cr := &countingReader{r: r}
+		c := wire.NewBinaryCodec(cr, io.Discard)
+		var m wire.Message
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := c.DecodeInto(&m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(cr.reads)/float64(b.N), "reads/msg")
+	}
+}
+
 // gobChunk is how many copies of a message a pre-encoded gob stream holds;
 // the decoder is rebuilt when the stream is exhausted, so the per-stream
 // type-descriptor cost is amortized 1/gobChunk into the measurement —
@@ -205,6 +257,7 @@ type WireEntry struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	MsgsPerSec  float64 `json:"msgs_per_sec,omitempty"`
+	ReadsPerMsg float64 `json:"reads_per_msg,omitempty"`
 }
 
 // WireSpeedup records binary-vs-gob on one kind and operation.
@@ -251,6 +304,7 @@ func RunWireSuite(benchTime string) WireReport {
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
+			ReadsPerMsg: r.Extra["reads/msg"],
 		}
 		if msgs && e.NsPerOp > 0 {
 			e.MsgsPerSec = 1e9 / e.NsPerOp
@@ -278,6 +332,7 @@ func RunWireSuite(benchTime string) WireReport {
 			})
 		}
 	}
+	record("Decode/streamed/slotinfo", StreamedDecode(), true)
 	record("Mux/send", MuxThroughput(), true)
 	return rep
 }

@@ -3,6 +3,7 @@ package distributed
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -222,14 +223,15 @@ func (p *Platform) slotMsg(li, slot int) *wire.Message {
 }
 
 // taskUnions returns, for each listed user, the distinct tasks its routes
-// cover, in first-seen order: the keys of that user's SlotInfo. All the
-// lists share one backing array.
+// cover, in ascending order: the keys of that user's SlotInfo, in the
+// order of the agent's taskIDs. All the lists share one backing array.
 func taskUnions(in *core.Instance, users []int) [][]int32 {
 	// seen[k] == li+1 marks task k as already listed for users[li].
 	seen := make([]int32, in.NumTasks())
 	ends := make([]int, len(users))
 	var flat []int32
 	for li, u := range users {
+		start := len(flat)
 		for _, r := range in.Users[u].Routes {
 			for _, k := range r.Tasks {
 				if seen[k] != int32(li+1) {
@@ -238,6 +240,7 @@ func taskUnions(in *core.Instance, users []int) [][]int32 {
 				}
 			}
 		}
+		slices.Sort(flat[start:])
 		ends[li] = len(flat)
 	}
 	out := make([][]int32, len(users))

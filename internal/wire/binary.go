@@ -65,6 +65,10 @@ const (
 	// limit is hostile or corrupt, and refusing it caps the memory an
 	// adversarial stream can make a decoder allocate.
 	MaxFrameLen = 1 << 20
+	// minReadBuf is the floor of a decoder's read-ahead buffer: room for
+	// the length prefix and a typical per-slot frame, so a fresh codec
+	// reads its first small frame in one read.
+	minReadBuf = 256
 )
 
 // Decode error taxonomy. All are returned wrapped in a "wire: decode"
@@ -89,13 +93,18 @@ type BinaryCodec struct {
 	r io.Reader
 
 	enc  []byte // encode scratch: the whole outgoing frame
-	keys []int  // encode scratch: sorted map keys for canonical order
-	rbuf []byte // decode scratch: the incoming frame
-	lenb [4]byte
+	keys []int  // encode scratch: key order of the last map encoded
+	// rbuf is the read-ahead buffer, as long as the largest frame seen
+	// (length prefix included) and at least minReadBuf; rbuf[rpos:rend]
+	// holds bytes read from r but not yet decoded.
+	rbuf       []byte
+	rpos, rend int
 }
 
 // NewBinaryCodec wraps a stream. For a bidirectional connection pass the
-// same net.Conn as both reader and writer.
+// same net.Conn as both reader and writer. The codec owns r from then on:
+// it reads ahead, so bytes of later frames may sit in its buffer, and
+// nothing else may read r.
 func NewBinaryCodec(r io.Reader, w io.Writer) *BinaryCodec {
 	return &BinaryCodec{r: r, w: w}
 }
@@ -141,31 +150,65 @@ func (c *BinaryCodec) DecodeInto(m *Message) error {
 	return nil
 }
 
-// readFrame reads one length-prefixed frame into the codec's scratch. A
-// clean EOF at a frame boundary surfaces as io.EOF; EOF mid-frame is an
+// readFrame returns the next frame (header and body, no length prefix)
+// from the read-ahead buffer; it stays valid until the next call. A clean
+// EOF at a frame boundary surfaces as io.EOF; EOF mid-frame is an
 // unexpected-EOF error.
 func (c *BinaryCodec) readFrame() ([]byte, error) {
-	if _, err := io.ReadFull(c.r, c.lenb[:]); err != nil {
-		if err == io.EOF {
+	if err := c.fill(4); err != nil {
+		if err == io.EOF && c.rend == c.rpos {
 			return nil, io.EOF
 		}
-		return nil, fmt.Errorf("wire: decode: reading frame length: %w", err)
+		return nil, fmt.Errorf("wire: decode: reading frame length: %w", unexpectedEOF(err))
 	}
-	n := binary.LittleEndian.Uint32(c.lenb[:])
+	n := binary.LittleEndian.Uint32(c.rbuf[c.rpos:])
 	if n < binaryHeaderLen {
 		return nil, fmt.Errorf("wire: decode: %w (%d bytes)", errShortFrame, n)
 	}
 	if n > MaxFrameLen {
 		return nil, fmt.Errorf("wire: decode: %w (%d bytes)", ErrFrameTooLarge, n)
 	}
-	if cap(c.rbuf) < int(n) {
-		c.rbuf = make([]byte, n)
+	end := 4 + int(n)
+	if err := c.fill(end); err != nil {
+		return nil, fmt.Errorf("wire: decode: reading frame body: %w", unexpectedEOF(err))
 	}
-	buf := c.rbuf[:n]
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return nil, fmt.Errorf("wire: decode: reading frame body: %w", err)
+	frame := c.rbuf[c.rpos+4 : c.rpos+end]
+	c.rpos += end
+	return frame, nil
+}
+
+// fill reads until at least need bytes are buffered. Before each read it
+// moves the unread bytes to the front and grows the buffer to need if it is
+// shorter, then offers the read all the room left: whatever arrives beyond
+// the current frame is kept for the next one. Like io.ReadFull, an error
+// that comes with enough bytes is dropped; the next read repeats it.
+func (c *BinaryCodec) fill(need int) error {
+	for c.rend-c.rpos < need {
+		if c.rpos > 0 {
+			c.rend = copy(c.rbuf, c.rbuf[c.rpos:c.rend])
+			c.rpos = 0
+		}
+		if need > len(c.rbuf) {
+			nb := make([]byte, max(need, minReadBuf))
+			copy(nb, c.rbuf[:c.rend])
+			c.rbuf = nb
+		}
+		n, err := c.r.Read(c.rbuf[c.rend:])
+		c.rend += n
+		if err != nil && c.rend-c.rpos < need {
+			return err
+		}
 	}
-	return buf, nil
+	return nil
+}
+
+// unexpectedEOF maps an EOF inside a frame to io.ErrUnexpectedEOF, as
+// io.ReadFull reports it.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // ReadRawFrame reads one length-prefixed frame from r and returns the
@@ -238,8 +281,8 @@ func AppendFrame(dst []byte, m *Message) ([]byte, error) {
 }
 
 // appendFrame appends the length prefix, fixed header, and body. keys is
-// the caller's reusable scratch for canonical map-key ordering; the
-// (possibly grown) scratch is returned for reuse.
+// the caller's map-order scratch (see appendMap; nil is always valid); the
+// updated scratch is returned for the caller's next frame.
 func appendFrame(dst []byte, m *Message, keys []int) ([]byte, []int, error) {
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
@@ -282,8 +325,55 @@ func appendIntSlice(dst []byte, s []int) []byte {
 	return dst
 }
 
-// appendBody encodes the kind-specific payload. Map entries are written in
-// ascending key order so the encoding is canonical.
+// appendMap appends a map in canonical form: a biased entry count (0 = nil
+// map, n+1 = n entries), then each key and its value in ascending key
+// order. keys is the order of the previous map this scratch encoded, always
+// sorted and distinct. When m has as many entries as keys and holds every
+// one of them, the key sets are equal and keys is already m's canonical
+// order; the lookups that prove it fetch the values being written. Any
+// other map pays the collect-and-sort, which becomes the cached order.
+func appendMap[V any](dst []byte, m map[int]V, keys []int, value func([]byte, V) []byte) ([]byte, []int) {
+	if m == nil {
+		return append(dst, 0), keys
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(m))+1)
+	if len(keys) == len(m) {
+		mark := len(dst)
+		hit := true
+		for _, k := range keys {
+			v, ok := m[k]
+			if !ok {
+				hit = false
+				break
+			}
+			dst = binary.AppendVarint(dst, int64(k))
+			dst = value(dst, v)
+		}
+		if hit {
+			return dst, keys
+		}
+		dst = dst[:mark]
+	}
+	keys = keys[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		dst = binary.AppendVarint(dst, int64(k))
+		dst = value(dst, m[k])
+	}
+	return dst, keys
+}
+
+func appendCount(dst []byte, n int) []byte { return binary.AppendVarint(dst, int64(n)) }
+
+func appendTaskParam(dst []byte, p TaskParam) []byte {
+	return appendFloat(appendFloat(dst, p.A), p.Mu)
+}
+
+// appendBody encodes the kind-specific payload. keys is the map-order
+// scratch appendMap reads and returns.
 func appendBody(dst []byte, m *Message, keys []int) ([]byte, []int, error) {
 	switch m.Kind {
 	case KindHello:
@@ -300,39 +390,11 @@ func appendBody(dst []byte, m *Message, keys []int) ([]byte, []int, error) {
 			dst = appendFloat(dst, r.DetourCost)
 			dst = appendFloat(dst, r.CongestionCost)
 		}
-		if in.Tasks == nil {
-			dst = append(dst, 0)
-		} else {
-			keys = keys[:0]
-			for k := range in.Tasks {
-				keys = append(keys, k)
-			}
-			slices.Sort(keys)
-			dst = binary.AppendUvarint(dst, uint64(len(keys))+1)
-			for _, k := range keys {
-				p := in.Tasks[k]
-				dst = binary.AppendVarint(dst, int64(k))
-				dst = appendFloat(dst, p.A)
-				dst = appendFloat(dst, p.Mu)
-			}
-		}
+		dst, keys = appendMap(dst, in.Tasks, keys, appendTaskParam)
 	case KindSlotInfo:
 		si := m.SlotInfo
 		dst = binary.AppendVarint(dst, int64(si.Slot))
-		if si.Counts == nil {
-			dst = append(dst, 0)
-		} else {
-			keys = keys[:0]
-			for k := range si.Counts {
-				keys = append(keys, k)
-			}
-			slices.Sort(keys)
-			dst = binary.AppendUvarint(dst, uint64(len(keys))+1)
-			for _, k := range keys {
-				dst = binary.AppendVarint(dst, int64(k))
-				dst = binary.AppendVarint(dst, int64(si.Counts[k]))
-			}
-		}
+		dst, keys = appendMap(dst, si.Counts, keys, appendCount)
 	case KindRequest:
 		r := m.Request
 		dst = binary.AppendVarint(dst, int64(r.Slot))
@@ -351,20 +413,7 @@ func appendBody(dst []byte, m *Message, keys []int) ([]byte, []int, error) {
 		g := m.GossipDelta
 		dst = binary.AppendVarint(dst, int64(g.Shard))
 		dst = binary.AppendVarint(dst, int64(g.Epoch))
-		if g.Counts == nil {
-			dst = append(dst, 0)
-		} else {
-			keys = keys[:0]
-			for k := range g.Counts {
-				keys = append(keys, k)
-			}
-			slices.Sort(keys)
-			dst = binary.AppendUvarint(dst, uint64(len(keys))+1)
-			for _, k := range keys {
-				dst = binary.AppendVarint(dst, int64(k))
-				dst = binary.AppendVarint(dst, int64(g.Counts[k]))
-			}
-		}
+		dst, keys = appendMap(dst, g.Counts, keys, appendCount)
 	case KindShardRequests:
 		sr := m.ShardRequests
 		dst = binary.AppendVarint(dst, int64(sr.Shard))

@@ -2,12 +2,18 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"flag"
+	"io"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/rng"
 )
@@ -543,5 +549,279 @@ func TestBinaryDecodeAdversarial(t *testing.T) {
 		if m, err := c.Decode(); err == nil {
 			t.Errorf("%s: hostile input decoded as %+v", name, m)
 		}
+	}
+}
+
+// mapMessage builds an Init, SlotInfo or GossipDelta whose map holds keys
+// with values drawn from s; a nil keys slice makes a nil map.
+func mapMessage(s *rng.Stream, kind Kind, keys []int) *Message {
+	m := &Message{Kind: kind, Seq: u64(s), From: -1}
+	switch kind {
+	case KindInit:
+		var tasks map[int]TaskParam
+		if keys != nil {
+			tasks = make(map[int]TaskParam, len(keys))
+			for _, k := range keys {
+				tasks[k] = TaskParam{A: randFloat(s), Mu: randFloat(s)}
+			}
+		}
+		m.Init = &Init{User: 3, Tasks: tasks, CurrentRoute: -1}
+	case KindSlotInfo, KindGossipDelta:
+		var counts map[int]int
+		if keys != nil {
+			counts = make(map[int]int, len(keys))
+			for _, k := range keys {
+				counts[k] = randInt(s)
+			}
+		}
+		if kind == KindSlotInfo {
+			m.SlotInfo = &SlotInfo{Slot: randInt(s), Counts: counts}
+		} else {
+			m.GossipDelta = &GossipDelta{Shard: 1, Epoch: randInt(s), Counts: counts}
+		}
+	}
+	return m
+}
+
+// TestCachedMapOrderMatchesFreshCodec proves the encoder's cached key order
+// changes no byte: one long-lived codec encodes a random interleaving of the
+// three map-carrying kinds whose key sets repeat, swap one key at the same
+// length, grow, shrink, turn nil or empty, or start afresh, and every frame
+// must equal a fresh codec's frame of the same message.
+func TestCachedMapOrderMatchesFreshCodec(t *testing.T) {
+	s := rng.New(20261017)
+	var sink bytes.Buffer
+	c := NewBinaryCodec(nil, &sink)
+	kinds := []Kind{KindInit, KindSlotInfo, KindGossipDelta}
+	keys := []int{4, 0, 9}
+	// freshKey draws a key not already in keys.
+	freshKey := func() int {
+		for {
+			k := randInt(s)
+			if !slices.Contains(keys, k) {
+				return k
+			}
+		}
+	}
+	for i := 0; i < 20_000; i++ {
+		switch op := s.Intn(10); {
+		case op < 4: // the same key set again: the cache-hit path
+		case op == 4 && len(keys) > 0: // same length, one key swapped
+			keys[s.Intn(len(keys))] = freshKey()
+		case op == 5:
+			keys = append(keys, freshKey())
+		case op == 6 && len(keys) > 0:
+			j := s.Intn(len(keys))
+			keys = append(keys[:j], keys[j+1:]...)
+		case op == 7:
+			keys = nil
+		case op == 8:
+			keys = []int{}
+		default:
+			keys = keys[:0:0]
+			for n := s.Intn(12); n > 0; n-- {
+				keys = append(keys, freshKey())
+			}
+		}
+		m := mapMessage(s, kinds[s.Intn(len(kinds))], keys)
+		sink.Reset()
+		if err := c.Encode(m); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := NewBinaryCodec(nil, &want).Encode(m); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sink.Bytes(), want.Bytes()) {
+			t.Fatalf("message %d (%v, keys %v): cached-order frame % x, fresh frame % x",
+				i, m.Kind, keys, sink.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// chunkReader caps its ith Read at sizes[i mod len(sizes)]+1 bytes; with no
+// sizes it passes reads through uncapped.
+type chunkReader struct {
+	r     io.Reader
+	sizes []byte
+	i     int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.sizes) > 0 {
+		if n := int(c.sizes[c.i%len(c.sizes)]) + 1; len(p) > n {
+			p = p[:n]
+		}
+		c.i++
+	}
+	return c.r.Read(p)
+}
+
+// countingReader counts the Read calls that reach its reader.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// decodeStream decodes r until the codec reports an error, which it
+// returns with the messages decoded before it.
+func decodeStream(r io.Reader) ([]*Message, error) {
+	c := NewBinaryCodec(r, nil)
+	var out []*Message
+	for {
+		m, err := c.Decode()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, m)
+	}
+}
+
+// TestReadAheadChunking feeds one stream through readers that split it at
+// every kind of boundary: one byte per read, half of each request, random
+// chunks, everything the buffer asks for, and the last bytes arriving with
+// io.EOF. Each must decode to the frames' own messages, then io.EOF.
+func TestReadAheadChunking(t *testing.T) {
+	s := rng.New(7)
+	msgs := corpusMessages()
+	for i := 0; i < 300; i++ {
+		msgs = append(msgs, randomMessage(s))
+	}
+	// One Init far above the buffer floor makes the buffer grow mid-stream.
+	big := mapMessage(s, KindInit, nil)
+	big.Init.Routes = []RouteInfo{{Tasks: make([]int, 4000)}}
+	msgs = slices.Insert(msgs, 40, big)
+	var stream []byte
+	var want []*Message
+	for _, m := range msgs {
+		start := len(stream)
+		var err error
+		if stream, err = AppendFrame(stream, m); err != nil {
+			t.Fatal(err)
+		}
+		dm, err := DecodeRawFrame(stream[start:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, dm)
+	}
+	random := make([]byte, 97)
+	for i := range random {
+		random[i] = byte(s.Intn(300))
+	}
+	readers := map[string]func() io.Reader{
+		"one-byte": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(stream)) },
+		"half":     func() io.Reader { return iotest.HalfReader(bytes.NewReader(stream)) },
+		"random":   func() io.Reader { return &chunkReader{r: bytes.NewReader(stream), sizes: random} },
+		"whole":    func() io.Reader { return bytes.NewReader(stream) },
+		"data-err": func() io.Reader { return iotest.DataErrReader(bytes.NewReader(stream)) },
+	}
+	for name, mk := range readers {
+		got, err := decodeStream(mk())
+		if err != io.EOF {
+			t.Errorf("%s: stream ended with %v, want io.EOF", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded %d messages that differ from the %d encoded", name, len(got), len(want))
+		}
+	}
+}
+
+// TestReadFrameEOF pins the EOF taxonomy for every cut of a two-frame
+// stream, whole and one byte per read: io.EOF itself at a frame boundary,
+// an unexpected-EOF error naming the length or the body inside a frame.
+func TestReadFrameEOF(t *testing.T) {
+	stream := encodeAllBinary(t, corpusMessages()[2:4])
+	first := int(binary.LittleEndian.Uint32(stream)) + 4
+	for cut := 0; cut <= len(stream); cut++ {
+		at := cut // offset of the cut in the frame it falls in
+		if cut > first {
+			at -= first
+		}
+		wantErr := "wire: decode: reading frame body: unexpected EOF"
+		switch {
+		case cut == 0 || cut == first || cut == len(stream):
+			wantErr = "EOF"
+		case at < 4:
+			wantErr = "wire: decode: reading frame length: unexpected EOF"
+		}
+		for _, r := range []io.Reader{bytes.NewReader(stream[:cut]), iotest.OneByteReader(bytes.NewReader(stream[:cut]))} {
+			_, err := decodeStream(r)
+			if err.Error() != wantErr {
+				t.Fatalf("cut %d: got %q, want %q", cut, err, wantErr)
+			}
+			if wantErr == "EOF" && err != io.EOF {
+				t.Fatalf("cut %d: boundary EOF is %#v, want io.EOF itself", cut, err)
+			}
+			if wantErr != "EOF" && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("cut %d: %v does not wrap io.ErrUnexpectedEOF", cut, err)
+			}
+		}
+	}
+}
+
+// TestReadFrameOversizeKeepsBuffer checks that a length prefix above
+// MaxFrameLen is refused before the read-ahead buffer grows to it, on a
+// fresh codec and on one that has decoded a frame.
+func TestReadFrameOversizeKeepsBuffer(t *testing.T) {
+	grant, err := AppendFrame(nil, corpusMessages()[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := []byte{0x01, 0x00, 0x10, 0x00, 'v', 'c'} // MaxFrameLen+1
+	for _, data := range [][]byte{hostile, append(grant, hostile...)} {
+		c := NewBinaryCodec(bytes.NewReader(data), nil)
+		for {
+			if _, err = c.Decode(); err != nil {
+				break
+			}
+		}
+		if !errors.Is(err, ErrFrameTooLarge) {
+			t.Errorf("got %v, want ErrFrameTooLarge", err)
+		}
+		if len(c.rbuf) > minReadBuf {
+			t.Errorf("buffer grew to %d bytes on a refused frame", len(c.rbuf))
+		}
+	}
+}
+
+// TestReadAheadOneReadPerFrame counts the reads a codec makes for frames
+// arriving one write at a time over net.Pipe: one per frame, where reading
+// the length prefix and the body apart would take two.
+func TestReadAheadOneReadPerFrame(t *testing.T) {
+	const n = 200
+	a, b := net.Pipe()
+	done := make(chan struct{})
+	defer func() {
+		b.Close()
+		<-done
+	}()
+	msgs := corpusMessages()
+	go func() {
+		defer close(done)
+		defer a.Close()
+		w := NewBinaryCodec(nil, a)
+		for i := 0; i < n; i++ {
+			if err := w.Encode(msgs[i%len(msgs)]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	cr := &countingReader{r: b}
+	c := NewBinaryCodec(cr, nil)
+	var m Message
+	for i := 0; i < n; i++ {
+		if err := c.DecodeInto(&m); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	if cr.reads != n {
+		t.Errorf("%d frames took %d reads, want %d", n, cr.reads, n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -138,30 +139,39 @@ func goldenFrames(f *testing.F) [][]byte {
 	return frames
 }
 
-// FuzzBinaryDecode feeds arbitrary byte streams to the binary decoder.
+// FuzzBinaryDecode feeds arbitrary byte streams to the binary decoder, in
+// reads the fuzzer sizes (see chunkReader; no sizes means uncapped reads).
 // Whatever the bytes — truncations, bit-flips, oversized length prefixes —
-// Decode must return a message or an error, never panic, and any message it
-// accepts must be valid and a canonical fixpoint: re-encoding the decode of
-// its own encoding reproduces the bytes exactly.
+// Decode must return a message or an error, never panic, and the same one
+// as a decoder reading the bytes uncapped. Any message it accepts must be
+// valid and a canonical fixpoint: re-encoding the decode of its own
+// encoding reproduces the bytes exactly.
 func FuzzBinaryDecode(f *testing.F) {
 	frames := goldenFrames(f)
 	var full []byte
 	for _, fr := range frames {
-		f.Add(fr)
+		f.Add(fr, []byte{})
 		full = append(full, fr...)
 	}
-	f.Add(full)
-	f.Add(full[:len(full)/2])
-	f.Add(full[:3])
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // hostile length prefix
+	f.Add(full, []byte{})
+	f.Add(full, []byte{0})
+	f.Add(full, []byte{2, 40, 7, 255})
+	f.Add(full[:len(full)/2], []byte{3})
+	f.Add(full[:3], []byte{})
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, []byte{1}) // hostile length prefix
 	corrupt := append([]byte(nil), full...)
 	corrupt[10] ^= 0xff
-	f.Add(corrupt)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c := NewBinaryCodec(bytes.NewReader(data), nil)
+	f.Add(corrupt, []byte{5, 60})
+	f.Fuzz(func(t *testing.T, data, sizes []byte) {
+		c := NewBinaryCodec(&chunkReader{r: bytes.NewReader(data), sizes: sizes}, nil)
+		whole := NewBinaryCodec(bytes.NewReader(data), nil)
 		for i := 0; i < 64; i++ { // bound work on streams with many messages
 			m, err := c.Decode()
+			wm, werr := whole.Decode()
+			if fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Fatalf("split reads failed with %v, uncapped reads with %v", err, werr)
+			}
 			if err != nil {
 				return
 			}
@@ -171,6 +181,10 @@ func FuzzBinaryDecode(f *testing.F) {
 			e1, err := AppendFrame(nil, m)
 			if err != nil {
 				t.Fatalf("accepted message failed to re-encode: %v", err)
+			}
+			// Bytes, not DeepEqual: a decoded float may be NaN.
+			if we, err := AppendFrame(nil, wm); err != nil || !bytes.Equal(e1, we) {
+				t.Fatalf("split reads decoded % x, uncapped reads % x (%v)", e1, we, err)
 			}
 			m2, err := NewBinaryCodec(bytes.NewReader(e1), nil).Decode()
 			if err != nil {
