@@ -57,11 +57,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCHPathEquivalence -fuzztime 5s ./internal/roadnet
 
 # Full local CI gate: build, vet, tests, race (including the chaos suite),
-# short fuzz passes, the round benchmark's own tests (a nested module the
-# root ./... never reaches), and smoke runs of the benchmark suites (short
-# benchtime: checks the harnesses and the speedup/zero-alloc gates, not
-# timings).
+# the request collector's differential and parallel-probe tests repeated
+# under the race detector (its probe fan-out writes per-user cache slots
+# from several workers), short fuzz passes, the round benchmark's own
+# tests (a nested module the root ./... never reaches), and smoke runs of
+# the benchmark suites (short benchtime: checks the harnesses and the
+# speedup/zero-alloc gates, not timings).
 ci: build vet test race fuzz
+	$(GO) test -race -count=3 -run 'TestCollector|TestCollectRequests|TestRunIdenticalAcrossCollectModes' ./internal/engine
 	cd roundbench && $(GO) test ./...
 	$(GO) test -race -short -count=1 ./internal/distributed ./internal/wire
 	$(GO) test -race -short -count=1 -timeout 300s ./internal/distributed/e2e

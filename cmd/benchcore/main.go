@@ -100,6 +100,9 @@ func main() {
 
 		for _, e := range rep.Entries {
 			line := fmt.Sprintf("%-28s %12.0f ns/op %8d allocs/op", e.Name, e.NsPerOp, e.AllocsPerOp)
+			if e.NsPerSlot > 0 {
+				line += fmt.Sprintf(" %12.0f ns/slot", e.NsPerSlot)
+			}
 			if e.SlotsPerSec > 0 {
 				line += fmt.Sprintf(" %12.1f slots/sec", e.SlotsPerSec)
 			}

@@ -14,6 +14,7 @@ package benchcore
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -166,6 +167,31 @@ func naiveRequests(in *core.Instance, o *core.Naive, s *rng.Stream) []engine.Req
 	return reqs
 }
 
+// RunPUU measures whole PUU runs (engine.RunFrom with engine.NewPUU) to
+// equilibrium from the world's fixed initial profile. Unlike the stationary
+// Slot row, the profile moves every slot, so this is the trajectory the
+// policy's incremental request collection is built for. It reports ns/slot
+// alongside ns/op (one op is one whole run).
+func RunPUU(m int) func(b *testing.B) {
+	return func(b *testing.B) {
+		g := gameFor(m)
+		slots := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			p := profileFor(g)
+			b.StartTimer()
+			res := engine.RunFrom(p, engine.NewPUU, rng.New(1), engine.Config{})
+			if !res.Converged {
+				b.Fatal("PUU did not converge")
+			}
+			slots += res.Slots
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(slots), "ns/slot")
+	}
+}
+
 // PotentialCached measures the O(1) cached Φ read.
 func PotentialCached(m int) func(b *testing.B) {
 	return func(b *testing.B) {
@@ -242,6 +268,7 @@ type Entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	NsPerSlot   float64 `json:"ns_per_slot,omitempty"`
 	SlotsPerSec float64 `json:"slots_per_sec,omitempty"`
 }
 
@@ -316,7 +343,9 @@ func RunSuite(ms []int, naiveMaxM int, benchTime string) Report {
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 		}
-		if slots && e.NsPerOp > 0 {
+		if ns, ok := r.Extra["ns/slot"]; ok && ns > 0 {
+			e.NsPerSlot, e.SlotsPerSec = ns, 1e9/ns
+		} else if slots && e.NsPerOp > 0 {
 			e.SlotsPerSec = 1e9 / e.NsPerOp
 		}
 		rep.Entries = append(rep.Entries, e)
@@ -338,6 +367,12 @@ func RunSuite(ms []int, naiveMaxM int, benchTime string) Report {
 					Speedup:  naive.NsPerOp / cached.NsPerOp,
 				})
 			}
+		}
+	}
+	// Trajectory rows: whole runs at the sizes where reuse shows.
+	for _, m := range []int{500, 5000} {
+		if slices.Contains(ms, m) {
+			record("Run/PUU", m, true, RunPUU(m))
 		}
 	}
 	return rep

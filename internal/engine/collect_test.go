@@ -8,9 +8,31 @@ import (
 	"repro/internal/rng"
 )
 
-// forceCollectMode runs fn with collectParallelMin pinned so that
-// collectRequests takes exactly the requested path regardless of instance
-// size, restoring the threshold afterwards.
+// oracleRequests is the stateless request collection every slot used to
+// run: probe every user's best response set, draw a route from each
+// nonempty one in user order, then price τ_i and B_i on the profile. It
+// survives only as the oracle the incremental collector must match.
+func oracleRequests(p *core.Profile, s *rng.Stream, withMeta bool) []Request {
+	var reqs []Request
+	for i := 0; i < p.Instance().NumUsers(); i++ {
+		u := core.UserID(i)
+		if delta := p.BestResponseSet(u); len(delta) > 0 {
+			reqs = append(reqs, Request{User: u, Route: delta[s.Intn(len(delta))]})
+		}
+	}
+	if withMeta {
+		for j := range reqs {
+			r := &reqs[j]
+			r.Tau = p.Tau(r.User, r.Route)
+			r.B = p.AppendMoveTasks(nil, r.User, r.Route)
+		}
+	}
+	return reqs
+}
+
+// forceCollectMode runs fn with collectParallelMin pinned so that every
+// collection probes on exactly the requested path regardless of how many
+// users it probes, restoring the threshold afterwards.
 func forceCollectMode(parallelPath bool, fn func()) {
 	saved := collectParallelMin
 	if parallelPath {
@@ -23,11 +45,11 @@ func forceCollectMode(parallelPath bool, fn func()) {
 }
 
 // TestCollectRequestsParallelMatchesSequential is the determinism contract
-// of the sharded collect path: for instances large enough to engage the
-// parallel evaluation (M ≥ 256), the emitted request sets — users,
-// proposed routes, τ_i, and B_i — must be identical, element for element,
-// to the sequential path's, and the RNG stream must be consumed the same
-// way. Run under -race (make race / make ci) this doubles as the data-race
+// of the sharded probe path: for instances large enough to engage the
+// parallel evaluation (M ≥ 256), the request sets of a first collection —
+// users, proposed routes, τ_i, and B_i — must be identical, element for
+// element, to the sequential path's and to the stateless oracle's, and the
+// RNG stream must be consumed the same way. Run under -race (make race / make ci) this doubles as the data-race
 // regression test for the shard fan-out.
 func TestCollectRequestsParallelMatchesSequential(t *testing.T) {
 	cases := []struct {
@@ -45,10 +67,10 @@ func TestCollectRequestsParallelMatchesSequential(t *testing.T) {
 		for _, withMeta := range []bool{false, true} {
 			var seq, par []Request
 			forceCollectMode(false, func() {
-				seq = collectRequests(p, rng.New(7), withMeta)
+				seq = Requests(p, rng.New(7), withMeta)
 			})
 			forceCollectMode(true, func() {
-				par = collectRequests(p, rng.New(7), withMeta)
+				par = Requests(p, rng.New(7), withMeta)
 			})
 			if len(seq) == 0 {
 				t.Fatalf("M=%d: degenerate case, no requesters", tc.users)
@@ -57,11 +79,14 @@ func TestCollectRequestsParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("M=%d withMeta=%v: parallel request set diverges from sequential\nseq: %+v\npar: %+v",
 					tc.users, withMeta, seq, par)
 			}
+			if msg := requestsDiff(seq, oracleRequests(p, rng.New(7), withMeta)); msg != "" {
+				t.Fatalf("M=%d withMeta=%v: first collection diverges from the stateless oracle: %s", tc.users, withMeta, msg)
+			}
 			// Identical RNG consumption: the next draw after either path
 			// must match.
 			s1, s2 := rng.New(7), rng.New(7)
-			forceCollectMode(false, func() { collectRequests(p, s1, withMeta) })
-			forceCollectMode(true, func() { collectRequests(p, s2, withMeta) })
+			forceCollectMode(false, func() { Requests(p, s1, withMeta) })
+			forceCollectMode(true, func() { Requests(p, s2, withMeta) })
 			if a, b := s1.Intn(1<<30), s2.Intn(1<<30); a != b {
 				t.Fatalf("M=%d withMeta=%v: RNG streams diverge after collect (%d vs %d)", tc.users, withMeta, a, b)
 			}

@@ -13,7 +13,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
@@ -30,8 +29,9 @@ type Request struct {
 }
 
 // Policy selects, from the slot's requesters, the users that update this
-// slot. Implementations may be stateful (BATS); fresh state is created per
-// run via New.
+// slot. Implementations are stateful — each keeps its run's request
+// collector, and BATS its schedule — so a fresh one is made per run by a
+// PolicyFactory.
 type Policy interface {
 	// Name returns the paper's name for the algorithm (DGRN, MUUN, ...).
 	Name() string
@@ -209,219 +209,110 @@ func RunFrom(p *core.Profile, factory PolicyFactory, s *rng.Stream, cfg Config) 
 	return res
 }
 
-// Request-collection telemetry on the default registry (the per-run
-// Config.Telemetry registry is policy-agnostic; the collect path sits below
-// the Policy interface, so its metrics live package-wide like
-// internal/parallel's).
-var (
-	collectDuration   = telemetry.Default().Histogram("engine_collect_duration_seconds", nil)
-	collectParallel   = telemetry.Default().Counter("engine_collect_parallel_total")
-	collectSequential = telemetry.Default().Counter("engine_collect_sequential_total")
-)
-
-// collectParallelMin is the user count at which collectRequests fans the
-// best-response evaluation across internal/parallel shards. Below it the
-// goroutine fan-out costs more than the probes; a package variable so tests
-// can force either path.
-var collectParallelMin = 96
-
-// collectRequests gathers this slot's update requests: every user whose best
-// route set Δ_i is nonempty, with a proposed route chosen uniformly from
-// Δ_i (Algorithm 1 line 14).
-//
-// For instances with at least collectParallelMin users the per-user
-// best-response sets — the slot's dominant cost, embarrassingly parallel
-// and RNG-free — are evaluated across worker shards first, each shard
-// probing through its own core.Evaluator. The merge then walks users in
-// index order and draws proposals from the stream exactly as the
-// sequential path does, so the emitted requests (and all downstream run
-// trajectories) are bit-identical either way.
-func collectRequests(p *core.Profile, s *rng.Stream, withMeta bool) []Request {
-	span := telemetry.StartSpan(collectDuration)
-	defer span.End()
-	n := p.Instance().NumUsers()
-	var deltas [][]int
-	if n >= collectParallelMin {
-		collectParallel.Inc()
-		deltas = bestResponseSets(p)
-	} else {
-		collectSequential.Inc()
-	}
-	var reqs []Request
-	for i := 0; i < n; i++ {
-		u := core.UserID(i)
-		var delta []int
-		if deltas != nil {
-			delta = deltas[i]
-		} else {
-			delta = p.BestResponseSet(u)
-		}
-		if len(delta) == 0 {
-			continue
-		}
-		reqs = append(reqs, Request{User: u, Route: delta[s.Intn(len(delta))]})
-	}
-	if withMeta {
-		// The B sets are packed back to back into arena chunks. A chunk
-		// never regrows: a B that might not fit starts a new one, sized
-		// for what the remaining B sets can need at most, so each B can be
-		// cut from its chunk as soon as it is written.
-		bound := func(r *Request) int { // |B_i| ≤ |L_cur| + |L_new|
-			return len(p.Route(r.User).Tasks) + len(p.Instance().Users[r.User].Routes[r.Route].Tasks)
-		}
-		left := 0
-		for j := range reqs {
-			left += bound(&reqs[j])
-		}
-		var arena []int
-		for j := range reqs {
-			r := &reqs[j]
-			r.Tau = p.Tau(r.User, r.Route)
-			b := bound(r)
-			if cap(arena)-len(arena) < b {
-				arena = make([]int, 0, max(b, min(arenaChunk, left)))
-			}
-			left -= b
-			start := len(arena)
-			arena = p.AppendMoveTasks(arena, r.User, r.Route)
-			r.B = arena[start:len(arena):len(arena)]
-		}
-	}
-	return reqs
-}
-
-// arenaChunk is the size, in task IDs, of the chunks collectRequests packs
-// B sets into: 32 KiB, the largest small-object size class, so chunks are
-// recycled like ordinary small objects rather than as large spans.
-const arenaChunk = 4096
-
-// bestResponseSets evaluates Δ_i for every user across parallel shards.
-// Shard w owns users w, w+shards, w+2·shards, …, so each output slot is
-// written by exactly one goroutine and the result depends only on the
-// profile state, never on scheduling. Each shard probes through a private
-// core.Evaluator: probes are read-only on the profile and bit-identical to
-// Profile.BestResponseSet.
-func bestResponseSets(p *core.Profile) [][]int {
-	n := p.Instance().NumUsers()
-	out := make([][]int, n)
-	shards := parallel.DefaultWorkers()
-	if max := (n + 31) / 32; shards > max {
-		shards = max // keep ≥32 users per shard
-	}
-	// Evaluators are made before the fan-out: the first one builds the
-	// instance's overlap masks, outside the parallel section.
-	evs := make([]*core.Evaluator, shards)
-	for w := range evs {
-		evs[w] = p.NewEvaluator()
-	}
-	// The shard body never errors; ForEach's error return is vacuous here.
-	_ = parallel.ForEach(shards, shards, func(w int) error {
-		ev := evs[w]
-		for i := w; i < n; i += shards {
-			out[i] = ev.BestResponseSet(core.UserID(i))
-		}
-		return nil
-	})
-	return out
-}
-
 // Requests returns the update requests the platform would collect from the
 // current profile this slot (Algorithm 1 line 14 / Algorithm 2 line 4),
 // without applying any of them. withMeta additionally fills each request's
 // τ_i and B_i, as the PUU and BUAU policies require. Exported for
-// benchmarks and external tooling; policies use the same path internally.
+// benchmarks and external tooling; it is a fresh collector's first
+// collection, which probes every user, so the policies' incremental
+// collections return exactly what it would.
 //
-// The B slices of one call alias a per-call arena: they are packed back to
-// back into shared chunks, each B a capacity-limited sub-slice, so
-// appending to a B copies it out rather than overwriting the next
-// request's tasks.
+// Each B is a capacity-limited slice of its own, so appending to it copies.
 func Requests(p *core.Profile, s *rng.Stream, withMeta bool) []Request {
-	return collectRequests(p, s, withMeta)
+	return new(collector).collect(p, s, withMeta)
+}
+
+// collecting is a policy that collects the slot's requests through its
+// run's collector and lets its rule choose and apply this slot's updates.
+type collecting struct {
+	name string
+	meta bool // the rule reads τ_i and B_i
+	rule func(p *core.Profile, s *rng.Stream, reqs []Request) []core.UserID
+	c    collector
+}
+
+func (x *collecting) Name() string { return x.name }
+
+func (x *collecting) SelectAndUpdate(p *core.Profile, s *rng.Stream) (int, []core.UserID) {
+	reqs := x.c.collect(p, s, x.meta)
+	if len(reqs) == 0 {
+		return 0, nil
+	}
+	return len(reqs), x.rule(p, s, reqs)
 }
 
 // --- SUU: Single User Update (the DGRN configuration) ---
 
-type suu struct{}
-
 // NewSUU returns the Single User Update policy: the platform picks one
 // requester uniformly at random and lets it apply its best response. This is
 // the DGRN algorithm of §5.2.
-func NewSUU() Policy { return suu{} }
-
-func (suu) Name() string { return "DGRN" }
-
-func (suu) SelectAndUpdate(p *core.Profile, s *rng.Stream) (int, []core.UserID) {
-	reqs := collectRequests(p, s, false)
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	r := reqs[s.Intn(len(reqs))]
-	p.SetChoice(r.User, r.Route)
-	return len(reqs), []core.UserID{r.User}
+func NewSUU() Policy {
+	return &collecting{name: "DGRN", rule: func(p *core.Profile, s *rng.Stream, reqs []Request) []core.UserID {
+		r := reqs[s.Intn(len(reqs))]
+		p.SetChoice(r.User, r.Route)
+		return []core.UserID{r.User}
+	}}
 }
 
 // --- PUU: Parallel User Update (Algorithm 3; the MUUN configuration) ---
-
-type puu struct{}
 
 // NewPUU returns the Parallel User Update policy (Algorithm 3): requesters
 // are sorted by δ_i = τ_i/|B_i| non-ascending and greedily admitted while
 // their touched task sets B_i stay pairwise disjoint; all admitted users
 // update concurrently in the same decision slot. This is the MUUN algorithm
 // of §5.2.
-func NewPUU() Policy { return puu{} }
-
-func (puu) Name() string { return "MUUN" }
-
-func (puu) SelectAndUpdate(p *core.Profile, s *rng.Stream) (int, []core.UserID) {
-	reqs := collectRequests(p, s, true)
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	selected := SelectPUU(reqs)
-	updated := make([]core.UserID, 0, len(selected))
-	for _, r := range selected {
-		p.SetChoice(r.User, r.Route)
-		updated = append(updated, r.User)
-	}
-	return len(reqs), updated
+func NewPUU() Policy {
+	return &collecting{name: "MUUN", meta: true, rule: func(p *core.Profile, _ *rng.Stream, reqs []Request) []core.UserID {
+		selected := SelectPUU(reqs)
+		updated := make([]core.UserID, 0, len(selected))
+		for _, r := range selected {
+			p.SetChoice(r.User, r.Route)
+			updated = append(updated, r.User)
+		}
+		return updated
+	}}
 }
 
 // SelectPUU implements the greedy core of Algorithm 3 on a request set: sort
 // by δ_i = τ_i/|B_i| non-ascending (a move touching no tasks interferes with
 // nothing and has δ = +Inf, sorted first), then admit requests whose B sets
-// do not intersect the union of already-admitted B sets. The sort is stable,
-// so ties keep request (user) order and the selection is reproducible.
+// do not intersect the union of already-admitted B sets. Ties in δ keep
+// request (user) order — the sort key is (δ, request index) — so the
+// selection is reproducible.
 // Task IDs in B must be non-negative: admitted tasks are marked in a slice
 // indexed by ID. Exported for direct testing of Theorem 3's guarantee.
 func SelectPUU(reqs []Request) []Request {
-	delta := make([]float64, len(reqs))
-	maxTask := -1
+	type key struct {
+		delta float64
+		i     int
+	}
+	keys := make([]key, len(reqs))
 	for i, r := range reqs {
-		delta[i] = math.Inf(1)
+		keys[i] = key{math.Inf(1), i}
 		if len(r.B) > 0 {
-			delta[i] = r.Tau / float64(len(r.B))
-		}
-		for _, k := range r.B {
-			maxTask = max(maxTask, k)
+			keys[i].delta = r.Tau / float64(len(r.B))
 		}
 	}
-	idx := make([]int, len(reqs))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(delta[b], delta[a]) })
-	taken := make([]bool, maxTask+1)
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(b.delta, a.delta); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	var taken []bool // grown on demand: most B sets are never marked
 	var out []Request
 admit:
-	for _, i := range idx {
-		r := reqs[i]
+	for _, key := range keys {
+		r := reqs[key.i]
 		for _, k := range r.B {
-			if taken[k] {
+			if k < len(taken) && taken[k] {
 				continue admit
 			}
 		}
 		for _, k := range r.B {
+			if k >= len(taken) {
+				taken = append(taken, make([]bool, k+1-len(taken))...)
+			}
 			taken[k] = true
 		}
 		out = append(out, r)
@@ -431,22 +322,20 @@ admit:
 
 // --- BRUN: Better Response Update Navigation ---
 
-type brun struct{}
+type brun struct {
+	c collector
+}
 
 // NewBRUN returns the BRUN baseline: a random requester applies a uniformly
 // random *better* (not necessarily best) response.
-func NewBRUN() Policy { return brun{} }
+func NewBRUN() Policy { return &brun{} }
 
-func (brun) Name() string { return "BRUN" }
+func (*brun) Name() string { return "BRUN" }
 
-func (brun) SelectAndUpdate(p *core.Profile, s *rng.Stream) (int, []core.UserID) {
-	// Requesters are users with any better response.
-	var users []core.UserID
-	for i := 0; i < p.Instance().NumUsers(); i++ {
-		if len(p.BetterResponses(core.UserID(i))) > 0 {
-			users = append(users, core.UserID(i))
-		}
-	}
+func (b *brun) SelectAndUpdate(p *core.Profile, s *rng.Stream) (int, []core.UserID) {
+	// Requesters are users with any better response: exactly those whose
+	// best response set is nonempty.
+	users := b.c.requesters(p)
 	if len(users) == 0 {
 		return 0, nil
 	}
@@ -458,35 +347,28 @@ func (brun) SelectAndUpdate(p *core.Profile, s *rng.Stream) (int, []core.UserID)
 
 // --- BUAU: Best Update of All Users ---
 
-type buau struct{}
-
 // NewBUAU returns the BUAU baseline: the platform inspects all requesters
 // and selects the single user whose best response maximizes the potential
 // increase τ_i.
-func NewBUAU() Policy { return buau{} }
-
-func (buau) Name() string { return "BUAU" }
-
-func (buau) SelectAndUpdate(p *core.Profile, s *rng.Stream) (int, []core.UserID) {
-	reqs := collectRequests(p, s, true)
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	best := 0
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Tau > reqs[best].Tau {
-			best = i
+func NewBUAU() Policy {
+	return &collecting{name: "BUAU", meta: true, rule: func(p *core.Profile, _ *rng.Stream, reqs []Request) []core.UserID {
+		best := 0
+		for i := 1; i < len(reqs); i++ {
+			if reqs[i].Tau > reqs[best].Tau {
+				best = i
+			}
 		}
-	}
-	r := reqs[best]
-	p.SetChoice(r.User, r.Route)
-	return len(reqs), []core.UserID{r.User}
+		r := reqs[best]
+		p.SetChoice(r.User, r.Route)
+		return []core.UserID{r.User}
+	}}
 }
 
 // --- BATS: Bayesian Asynchronous Task Selection (adapted from [5]) ---
 
 type bats struct {
 	next int
+	c    collector
 }
 
 // NewBATS returns the BATS baseline adapted to the route-navigation setting:
@@ -500,12 +382,7 @@ func (*bats) Name() string { return "BATS" }
 
 func (b *bats) SelectAndUpdate(p *core.Profile, s *rng.Stream) (int, []core.UserID) {
 	n := p.Instance().NumUsers()
-	requesters := 0
-	for i := 0; i < n; i++ {
-		if len(p.BestResponseSet(core.UserID(i))) > 0 {
-			requesters++
-		}
-	}
+	requesters := len(b.c.requesters(p))
 	if requesters == 0 {
 		return 0, nil
 	}

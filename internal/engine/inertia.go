@@ -5,7 +5,8 @@ import (
 	"repro/internal/rng"
 )
 
-// inertialParallel is the stochastic repair of unsafeParallel: every
+// NewInertialParallel returns the inertial simultaneous-update policy
+// (IPAR), the stochastic repair of UPAR (NewUnsafeParallel): every
 // requester updates concurrently, but each independently stays put with
 // probability stayProb ("inertia"). Simultaneous-move games with inertia
 // escape the deterministic 2-cycles that pure simultaneous best response
@@ -13,38 +14,27 @@ import (
 // moves, the potential strictly increases, so the dynamics almost surely
 // reach a Nash equilibrium — without any platform-side coordination at all,
 // trading PUU's per-slot guarantee for a fully decentralized rule.
-type inertialParallel struct {
-	stayProb float64
-}
-
-// NewInertialParallel returns the inertial simultaneous-update policy
-// (IPAR). stayProb in (0,1) is each requester's independent probability of
+// stayProb in (0,1) is each requester's independent probability of
 // skipping its update this slot; 0.5 is the customary choice.
 func NewInertialParallel(stayProb float64) PolicyFactory {
 	if stayProb <= 0 || stayProb >= 1 {
 		stayProb = 0.5
 	}
-	return func() Policy { return inertialParallel{stayProb: stayProb} }
-}
-
-func (inertialParallel) Name() string { return "IPAR" }
-
-func (ip inertialParallel) SelectAndUpdate(p *core.Profile, s *rng.Stream) (int, []core.UserID) {
-	reqs := collectRequests(p, s, false)
-	if len(reqs) == 0 {
-		return 0, nil
+	return func() Policy {
+		return &collecting{name: "IPAR", rule: func(p *core.Profile, s *rng.Stream, reqs []Request) []core.UserID {
+			// Decide who moves BEFORE applying anything: simultaneous play.
+			var movers []Request
+			for _, r := range reqs {
+				if !s.Bool(stayProb) {
+					movers = append(movers, r)
+				}
+			}
+			updated := make([]core.UserID, 0, len(movers))
+			for _, r := range movers {
+				p.SetChoice(r.User, r.Route)
+				updated = append(updated, r.User)
+			}
+			return updated
+		}}
 	}
-	// Decide who moves BEFORE applying anything: simultaneous play.
-	var movers []Request
-	for _, r := range reqs {
-		if !s.Bool(ip.stayProb) {
-			movers = append(movers, r)
-		}
-	}
-	updated := make([]core.UserID, 0, len(movers))
-	for _, r := range movers {
-		p.SetChoice(r.User, r.Route)
-		updated = append(updated, r.User)
-	}
-	return len(reqs), updated
 }

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -50,16 +52,60 @@ func insertionSelectPUU(reqs []Request) []Request {
 	return out
 }
 
-// TestSelectPUUMatchesInsertionSort checks the stable-sort selection
-// against the frozen insertion-sort version on random request sets built
-// to stress the order: τ drawn from a few values so δ ties are common,
-// empty B sets (δ = +Inf, several of them tied), and B sets repeating a
-// task ID. The admitted requests and their order must be identical.
+// stableSelectPUU is the frozen stable-sort selection: a stable sort of
+// request indices by non-ascending δ over precomputed δ values, then the
+// same admission pass. SelectPUU's (δ, index) keys must order exactly as
+// it does.
+func stableSelectPUU(reqs []Request) []Request {
+	delta := make([]float64, len(reqs))
+	maxTask := -1
+	for i, r := range reqs {
+		delta[i] = math.Inf(1)
+		if len(r.B) > 0 {
+			delta[i] = r.Tau / float64(len(r.B))
+		}
+		for _, k := range r.B {
+			maxTask = max(maxTask, k)
+		}
+	}
+	idx := make([]int, len(reqs))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(delta[b], delta[a]) })
+	taken := make([]bool, maxTask+1)
+	var out []Request
+admit:
+	for _, i := range idx {
+		r := reqs[i]
+		for _, k := range r.B {
+			if taken[k] {
+				continue admit
+			}
+		}
+		for _, k := range r.B {
+			taken[k] = true
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestSelectPUUMatchesInsertionSort checks the (δ, index)-keyed selection
+// against the frozen stable-sort and insertion-sort versions on random
+// request sets built to stress the order: τ drawn from a few values so δ
+// ties and equal τ are common, empty B sets (δ = +Inf, several of them
+// tied), and B sets repeating a task ID. Set sizes run past the sort's
+// insertion-sort cutoff into the hundreds. The admitted requests and
+// their order must be identical.
 func TestSelectPUUMatchesInsertionSort(t *testing.T) {
 	s := rng.New(31)
 	for trial := 0; trial < 2000; trial++ {
-		n := s.IntRange(0, 40)
-		tasks := s.IntRange(1, 30)
+		n, tasks := s.IntRange(0, 40), s.IntRange(1, 30)
+		if trial%10 == 0 { // large sets over many tasks: long admitted runs
+			n = s.IntRange(40, 600)
+			tasks = s.IntRange(n, 4*n)
+		}
 		reqs := make([]Request, n)
 		for i := range reqs {
 			reqs[i] = Request{User: core.UserID(i), Route: s.Intn(5), Tau: float64(s.IntRange(1, 4))}
@@ -76,6 +122,9 @@ func TestSelectPUUMatchesInsertionSort(t *testing.T) {
 		got, want := SelectPUU(reqs), insertionSelectPUU(reqs)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: SelectPUU admitted %v, insertion sort %v", trial, users(got), users(want))
+		}
+		if stable := stableSelectPUU(reqs); !reflect.DeepEqual(got, stable) {
+			t.Fatalf("trial %d: SelectPUU admitted %v, stable sort %v", trial, users(got), users(stable))
 		}
 	}
 }

@@ -7,38 +7,29 @@ import (
 	"repro/internal/rng"
 )
 
-// unsafeParallel is the ablation of Algorithm 3's disjointness constraint:
-// every requester updates concurrently in the same slot, each computing its
-// best response against the same (now stale) participant counts. Because
+// NewUnsafeParallel returns the no-disjointness parallel update policy
+// (UPAR), the ablation of Algorithm 3's disjointness constraint: every
+// requester updates concurrently in the same slot, each computing its best
+// response against the same (now stale) participant counts. Because
 // interfering users can all pile onto the same task, a slot can DECREASE
 // the potential function — the property PUU's disjoint batches are designed
 // to preserve. The policy therefore does not inherit the finite improvement
-// property; runs are only guaranteed to stop at MaxSlots.
-type unsafeParallel struct{}
-
-// NewUnsafeParallel returns the no-disjointness parallel update policy
-// (UPAR). It exists to demonstrate, in tests and the ablation benchmarks,
-// why Algorithm 3 restricts concurrent updates to users whose B sets do not
-// intersect.
-func NewUnsafeParallel() Policy { return unsafeParallel{} }
-
-func (unsafeParallel) Name() string { return "UPAR" }
-
-func (unsafeParallel) SelectAndUpdate(p *core.Profile, s *rng.Stream) (int, []core.UserID) {
-	reqs := collectRequests(p, s, false)
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	updated := make([]core.UserID, 0, len(reqs))
-	// All moves are applied against the pre-slot counts: compute first,
-	// apply after, exactly like simultaneous play.
-	for _, r := range reqs {
-		updated = append(updated, r.User)
-	}
-	for _, r := range reqs {
-		p.SetChoice(r.User, r.Route)
-	}
-	return len(reqs), updated
+// property; runs are only guaranteed to stop at MaxSlots. It exists to
+// demonstrate, in tests and the ablation benchmarks, why Algorithm 3
+// restricts concurrent updates to users whose B sets do not intersect.
+func NewUnsafeParallel() Policy {
+	return &collecting{name: "UPAR", rule: func(p *core.Profile, _ *rng.Stream, reqs []Request) []core.UserID {
+		updated := make([]core.UserID, 0, len(reqs))
+		// All moves are applied against the pre-slot counts: compute first,
+		// apply after, exactly like simultaneous play.
+		for _, r := range reqs {
+			updated = append(updated, r.User)
+		}
+		for _, r := range reqs {
+			p.SetChoice(r.User, r.Route)
+		}
+		return updated
+	}}
 }
 
 // PotentialDropped reports whether any slot of the recorded history
