@@ -12,6 +12,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	cd roundbench && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; \
 		for f in $$unformatted; do echo "  $$f"; done; exit 1; fi
@@ -27,13 +28,13 @@ race:
 # by -short elsewhere; here it runs in full), the federated chaos suite,
 # the accept-phase paths (failures, silent connections, plain agents and
 # mux sessions on one listener) and the K=1 node/standalone equivalence
-# repeated (connection-ownership races show only under repeated, loaded
-# runs), the duplicate-delivery and agent-restart paths of the per-epoch
+# (transcripts, observation streams, run statistics) repeated
+# (connection-ownership races show only under repeated, loaded runs), the duplicate-delivery and agent-restart paths of the per-epoch
 # dedup repeated, and the full multi-process multi-node harness including
 # the kill -9 crash/recovery soak.
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/distributed
-	$(GO) test -race -count=3 -run 'TestChaosFederated|TestServeTCPSessionClosesEarly|TestServeTCPClosesAcceptedConnsOnError|TestNodeFederationMatchesInProcess|TestServeTCPSilentConnection|TestServeNodeSilentConnection|TestServeTCPMixedFleet|TestServeNodeMuxedFleets' ./internal/distributed
+	$(GO) test -race -count=3 -run 'TestChaosFederated|TestServeTCPSessionClosesEarly|TestServeTCPClosesAcceptedConnsOnError|TestNodeFederationMatchesInProcess|TestStandaloneMatchesNodePath|TestServeTCPSilentConnection|TestServeNodeSilentConnection|TestServeTCPMixedFleet|TestServeNodeMuxedFleets' ./internal/distributed
 	$(GO) test -race -count=5 -run 'TestSeqConn|TestFaultInjectionDuplicates|TestAgentRestart' ./internal/distributed
 	$(GO) test -race -count=1 -timeout 600s ./internal/distributed/e2e
 

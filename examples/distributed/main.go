@@ -43,10 +43,15 @@ func main() {
 	fmt.Printf("spawning 1 platform + %d agent goroutines (policy %s, dup %.0f%%)\n",
 		in.NumUsers(), *policy, *dup*100)
 
-	stats, err := distributed.RunInProcess(in, distributed.InProcessOptions{
-		Platform:      distributed.PlatformConfig{Policy: distributed.SelectionPolicy(*policy), Seed: *seed},
-		AgentSeedBase: *seed * 31,
-		DupProb:       *dup,
+	// The chaos runner injects the duplicates (none at -dup 0) on both
+	// ends of every agent link.
+	dupProfile := distributed.FaultProfile{DupProb: *dup}
+	stats, err := distributed.RunChaos(in, distributed.ChaosOptions{
+		Platform:        distributed.PlatformConfig{Policy: distributed.SelectionPolicy(*policy), Seed: *seed},
+		AgentSeedBase:   *seed * 31,
+		Seed:            *seed,
+		AgentProfile:    dupProfile,
+		PlatformProfile: dupProfile,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

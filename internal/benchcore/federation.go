@@ -94,14 +94,16 @@ func RunFederationSuite(m, rounds int, ks []int) (FederationReport, error) {
 	rep.Tasks = in.NumTasks()
 	for _, k := range ks {
 		start := time.Now()
-		stats, err := distributed.RunFederatedInProcess(in, distributed.FederatedOptions{
+		stats, err := distributed.RunInProcess(in, distributed.InProcessOptions{
 			Shards: k,
 			Platform: distributed.PlatformConfig{
 				Policy:   distributed.PUU,
 				Seed:     11,
 				MaxSlots: rounds,
 			},
-		}, distributed.InProcessOptions{AgentSeedBase: 500, Deterministic: true})
+			AgentSeedBase: 500,
+			Deterministic: true,
+		})
 		wall := time.Since(start).Seconds()
 		if err != nil && !errors.Is(err, distributed.ErrNoConvergence) {
 			return rep, fmt.Errorf("federation bench K=%d: %w", k, err)

@@ -51,9 +51,9 @@ type ChaosOptions struct {
 	// dedup, and tracing decorators stack on top of whatever Links returns.
 	Links func(user int) (platform, agent Conn, err error)
 	// Shards is the number of ServeNode shards the platform side runs as,
-	// meshed over loopback TCP (see RunFederatedInProcess); 0 or 1 runs
-	// one node, which behaves like a standalone platform. Every shard
-	// rides out its own users' faults locally. With more than one shard,
+	// meshed over loopback TCP (see RunInProcess); 0 or 1 runs one node,
+	// which behaves like a standalone platform. Every shard rides out its
+	// own users' faults locally. With more than one shard,
 	// Platform.Observer must be unset.
 	Shards int
 }
@@ -180,7 +180,7 @@ func runChaos(in *core.Instance, opts ChaosOptions) (ChaosStats, error) {
 	// The platform side is a federation of max(Shards, 1) nodes; the
 	// potential trace is replayed from its global transcript.
 	var stats ChaosStats
-	fs, perr := runNodes(in, FederatedOptions{Shards: opts.Shards, Platform: opts.Platform}, platConns)
+	fs, perr := runNodes(in, InProcessOptions{Shards: opts.Shards, Platform: opts.Platform}, platConns)
 	if perr == nil {
 		var final []int
 		final, stats.Potentials, perr = ReplayTranscript(in, fs.Transcript)
@@ -213,4 +213,9 @@ func runChaos(in *core.Instance, opts ChaosOptions) (ChaosStats, error) {
 		}
 	}
 	return stats, perr
+}
+
+// faultSeed derives a per-link, per-side fault schedule seed.
+func faultSeed(base uint64, user, side int) uint64 {
+	return base*2654435761 + uint64(user)*97 + uint64(side)
 }

@@ -79,10 +79,9 @@ func (c *chanConn) Close() error {
 // --- TCP (binary codec) transport ---
 
 type netConn struct {
-	nc          net.Conn
-	codec       *wire.BinaryCodec
-	wmu         sync.Mutex
-	recvTimeout time.Duration
+	nc    net.Conn
+	codec *wire.BinaryCodec
+	wmu   sync.Mutex
 }
 
 // NewNetConn wraps a net.Conn with the binary codec (see internal/wire and
@@ -92,27 +91,13 @@ func NewNetConn(nc net.Conn) Conn {
 	return &netConn{nc: nc, codec: wire.NewBinaryCodec(nc, nc)}
 }
 
-// NewNetConnTimeout wraps a net.Conn with the binary codec and applies the
-// given read deadline to every Recv, so a crashed or stalled peer surfaces
-// as an error instead of blocking the platform forever.
-func NewNetConnTimeout(nc net.Conn, recvTimeout time.Duration) Conn {
-	return &netConn{nc: nc, codec: wire.NewBinaryCodec(nc, nc), recvTimeout: recvTimeout}
-}
-
 func (c *netConn) Send(m *wire.Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	return c.codec.Encode(m)
 }
 
-func (c *netConn) Recv() (*wire.Message, error) {
-	if c.recvTimeout > 0 {
-		if err := c.nc.SetReadDeadline(time.Now().Add(c.recvTimeout)); err != nil {
-			return nil, err
-		}
-	}
-	return c.codec.Decode()
-}
+func (c *netConn) Recv() (*wire.Message, error) { return c.codec.Decode() }
 
 func (c *netConn) Close() error { return c.nc.Close() }
 
@@ -364,56 +349,3 @@ func (c *retryConn) Recv() (*wire.Message, error) {
 }
 
 func (c *retryConn) Close() error { return c.inner.Close() }
-
-// timeoutConn bounds Recv with a watchdog so a crashed or stalled peer
-// surfaces as a transient error instead of blocking forever. A single pump
-// goroutine reads the inner connection; Recv races the pump against a
-// timer. (For TCP transports prefer NewNetConnTimeout, which uses real
-// read deadlines; this decorator serves transports without deadlines, like
-// the in-process channel pairs.)
-type timeoutConn struct {
-	inner   Conn
-	timeout time.Duration
-	msgs    chan timeoutResult
-	once    sync.Once
-}
-
-type timeoutResult struct {
-	m   *wire.Message
-	err error
-}
-
-// WithTimeout wraps a connection so every Recv fails with a transient
-// timeout error after d. The wrapped connection must only be read through
-// the wrapper from then on (a pump goroutine owns the inner Recv).
-func WithTimeout(inner Conn, d time.Duration) Conn {
-	// The one-slot buffer lets the pump park its final result (a permanent
-	// error after Close) without leaking even if no Recv ever drains it.
-	return &timeoutConn{inner: inner, timeout: d, msgs: make(chan timeoutResult, 1)}
-}
-
-func (c *timeoutConn) pump() {
-	for {
-		m, err := c.inner.Recv()
-		c.msgs <- timeoutResult{m, err}
-		if err != nil && !IsTransient(err) {
-			return // permanent failure: the connection is dead
-		}
-	}
-}
-
-func (c *timeoutConn) Send(m *wire.Message) error { return c.inner.Send(m) }
-
-func (c *timeoutConn) Recv() (*wire.Message, error) {
-	c.once.Do(func() { go c.pump() })
-	t := time.NewTimer(c.timeout)
-	defer t.Stop()
-	select {
-	case r := <-c.msgs:
-		return r.m, r.err
-	case <-t.C:
-		return nil, &TransientError{Op: "recv", Err: fmt.Errorf("timeout after %v", c.timeout)}
-	}
-}
-
-func (c *timeoutConn) Close() error { return c.inner.Close() }

@@ -1,7 +1,6 @@
 package distributed
 
 import (
-	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -169,45 +168,6 @@ func TestSeqPlusFaultyEndToEnd(t *testing.T) {
 	}
 }
 
-func TestNetConnTimeout(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	done := make(chan error, 1)
-	go func() {
-		nc, err := ln.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer nc.Close()
-		conn := NewNetConnTimeout(nc, 50*time.Millisecond)
-		// The client never sends: Recv must return a timeout error rather
-		// than blocking.
-		_, err = conn.Recv()
-		done <- err
-	}()
-	client, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Recv returned nil on silent peer")
-		}
-		var nerr net.Error
-		if !errors.As(err, &nerr) || !nerr.Timeout() {
-			t.Fatalf("error is not a timeout: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Recv blocked despite deadline")
-	}
-}
-
 func TestNetConnNoTimeoutStillWorks(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -221,7 +181,7 @@ func TestNetConnNoTimeoutStillWorks(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		conn := NewNetConnTimeout(nc, time.Second)
+		conn := NewNetConn(nc)
 		m, err := conn.Recv()
 		if err == nil {
 			got <- m

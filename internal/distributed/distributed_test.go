@@ -135,8 +135,9 @@ func TestStatsConsistency(t *testing.T) {
 }
 
 func TestFaultInjectionDuplicates(t *testing.T) {
-	// With heavy message duplication the dedup layer must keep the protocol
-	// correct: same convergence, valid Nash equilibrium.
+	// With heavy message duplication on both ends of every link the dedup
+	// layer must keep the protocol correct: same convergence, valid Nash
+	// equilibrium.
 	for seed := uint64(0); seed < 3; seed++ {
 		in := randomInstance(seed, 8, 12)
 		clean, err := RunInProcess(in, InProcessOptions{
@@ -146,17 +147,21 @@ func TestFaultInjectionDuplicates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulty, err := RunInProcess(in, InProcessOptions{
-			Platform:      PlatformConfig{Policy: Deterministic, Seed: 1},
-			Deterministic: true,
-			DupProb:       0.5,
-			AgentSeedBase: seed,
+		faulty, err := RunChaos(in, ChaosOptions{
+			Platform:        PlatformConfig{Policy: Deterministic, Seed: 1},
+			Deterministic:   true,
+			Seed:            seed,
+			AgentProfile:    FaultProfile{DupProb: 0.5},
+			PlatformProfile: FaultProfile{DupProb: 0.5},
 		})
 		if err != nil {
 			t.Fatalf("seed %d (faulty): %v", seed, err)
 		}
 		if !faulty.Converged {
 			t.Fatalf("seed %d: faulty run did not converge", seed)
+		}
+		if faulty.Faults[FaultDup] == 0 {
+			t.Fatalf("seed %d: no duplicate was injected", seed)
 		}
 		for i := range clean.Choices {
 			if clean.Choices[i] != faulty.Choices[i] {
@@ -177,7 +182,7 @@ func TestAgentRestart(t *testing.T) {
 	for i := 0; i < n; i++ {
 		platConns[i], agentConns[i] = ChanPair(64)
 	}
-	plat, err := New(in, platConns, WithPolicy(Deterministic))
+	plat, err := New(in, platConns, WithConfig(PlatformConfig{Policy: Deterministic}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +258,7 @@ func TestPlatformRejectsOutOfRangeTask(t *testing.T) {
 	in := randomInstance(5, 1, 4)
 	for _, bad := range []int{in.NumTasks(), -1} {
 		pc, ac := ChanPair(8)
-		plat, err := New(in, []Conn{pc}, WithPolicy(PUU))
+		plat, err := New(in, []Conn{pc}, WithConfig(PlatformConfig{Policy: PUU}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +343,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(in, make([]Conn, 2)); err == nil {
 		t.Error("wrong conn count accepted")
 	}
-	if _, err := New(in, make([]Conn, 4), WithPolicy("BOGUS")); err == nil {
+	if _, err := New(in, make([]Conn, 4), WithConfig(PlatformConfig{Policy: "BOGUS"})); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }

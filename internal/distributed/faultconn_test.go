@@ -228,25 +228,6 @@ func TestWithRetryPassesPermanentErrors(t *testing.T) {
 	}
 }
 
-func TestWithTimeoutFiresAndDelivers(t *testing.T) {
-	a, b := ChanPair(8)
-	defer a.Close()
-	tc := WithTimeout(b, 20*time.Millisecond)
-	if _, err := tc.Recv(); !IsTransient(err) {
-		t.Fatalf("empty conn Recv = %v, want transient timeout", err)
-	}
-	if err := a.Send(grantMsg(7)); err != nil {
-		t.Fatal(err)
-	}
-	m, err := tc.Recv()
-	if err != nil {
-		t.Fatalf("Recv after message available: %v", err)
-	}
-	if m.Grant.Slot != 7 {
-		t.Fatalf("got slot %d, want 7", m.Grant.Slot)
-	}
-}
-
 func TestEpochSeqDedup(t *testing.T) {
 	a, b := ChanPair(32)
 	recv := WithSeq(b, -1)

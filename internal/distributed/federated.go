@@ -12,14 +12,14 @@ import (
 	"repro/internal/distributed/federation"
 )
 
-// This file runs the sharded federation (node.go) inside one process: K
-// ServeNode shards meshed over loopback TCP, each serving its own users'
+// This file runs the platform inside one process: K ServeNode shards
+// meshed over loopback TCP (none at K = 1), each serving its own users'
 // agents over the connections the caller hands in. It is the exact
 // protocol a multi-process cluster runs; only the agent transport and the
 // process boundary differ.
 
 // ShardObservation is the per-shard, per-round report delivered to
-// FederatedOptions.ShardObserver and NodeOptions.ShardObserver.
+// InProcessOptions.ShardObserver and NodeOptions.ShardObserver.
 type ShardObservation struct {
 	Shard int
 	// Slot is the decision slot the observation closes.
@@ -36,16 +36,15 @@ type ShardObservation struct {
 	PeerLag []int
 }
 
-// FederatedOptions configures RunFederatedInProcess.
-type FederatedOptions struct {
-	// Shards is the shard count K; 0 or 1 runs a single-shard federation
-	// (the federated code path with no peers, useful as a baseline).
+// InProcessOptions configures RunInProcess.
+type InProcessOptions struct {
+	// Shards is the shard count K; 0 or 1 runs one node, which behaves
+	// like a standalone platform.
 	Shards int
 	// Platform carries the per-shard platform configuration. With more
 	// than one shard, Observer and ObservePotential must be unset: no
 	// shard sees the global profile. Replay FederatedStats.Transcript
-	// (ReplayTranscript) instead. A one-shard federation observes like a
-	// standalone platform.
+	// (ReplayTranscript) instead.
 	Platform PlatformConfig
 	// Partition overrides user placement; the zero value partitions
 	// spatially (federation.Spatial).
@@ -57,6 +56,10 @@ type FederatedOptions struct {
 	// OnTopology, when non-nil, receives the resolved partition before the
 	// run starts — the web layer uses it to serve shard topology.
 	OnTopology func(federation.Partition)
+	// AgentSeedBase seeds agent i with AgentSeedBase + i.
+	AgentSeedBase uint64
+	// Deterministic propagates to every agent (see AgentConfig).
+	Deterministic bool
 }
 
 // FederatedStats reports an in-process federated run.
@@ -72,16 +75,48 @@ type FederatedStats struct {
 	Transcript string
 }
 
-// RunFederatedInProcess runs a K-shard federation inside one process: K
-// ServeNode shards plus one agent goroutine per user, connected by channel
-// transports. The platform configuration comes from fopts.Platform; aopts
-// contributes only the agent-side knobs (AgentSeedBase, Deterministic,
-// DupProb). Every shard's slot transcript must come out byte-identical and
-// every shard must end on identical replicated counts.
-func RunFederatedInProcess(in *core.Instance, fopts FederatedOptions, aopts InProcessOptions) (FederatedStats, error) {
-	conns, finish := startInProcessAgents(in, aopts)
-	stats, err := runNodes(in, fopts, conns)
-	return stats, finish(err)
+// RunInProcess runs the full distributed protocol inside one process:
+// max(opts.Shards, 1) ServeNode shards plus one agent goroutine per user,
+// connected by channel transports. It blocks until the protocol terminates.
+// Every shard's slot transcript must come out byte-identical and every
+// shard must end on identical replicated counts. When the platform side
+// succeeds, the first agent error is returned.
+func RunInProcess(in *core.Instance, opts InProcessOptions) (FederatedStats, error) {
+	n := in.NumUsers()
+	conns := make([]Conn, n)
+	agentErrs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, u := range in.Users {
+		pc, ac := ChanPair(16)
+		conns[i] = pc
+		a := NewAgent(ac, AgentConfig{
+			User:          i,
+			Alpha:         u.Alpha,
+			Beta:          u.Beta,
+			Gamma:         u.Gamma,
+			Seed:          opts.AgentSeedBase + uint64(i),
+			Deterministic: opts.Deterministic,
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			agentErrs[i] = a.Run()
+		}()
+	}
+	stats, err := runNodes(in, opts, conns)
+	if err != nil {
+		// Unblock agents still waiting on the platform ends.
+		for _, c := range conns {
+			c.Close()
+		}
+	}
+	wg.Wait()
+	for i, e := range agentErrs {
+		if e != nil && err == nil {
+			err = fmt.Errorf("agent %d: %w", i, e)
+		}
+	}
+	return stats, err
 }
 
 // runNodes runs the K shards of a federation over conns, where conns[u] is
@@ -89,7 +124,7 @@ func RunFederatedInProcess(in *core.Instance, fopts FederatedOptions, aopts InPr
 // shard aborts its peers. On a clean finish the shards' replicated counts
 // and slot transcripts must agree, and the transcripts merge into
 // stats.Transcript.
-func runNodes(in *core.Instance, opts FederatedOptions, conns []Conn) (stats FederatedStats, err error) {
+func runNodes(in *core.Instance, opts InProcessOptions, conns []Conn) (stats FederatedStats, err error) {
 	if err := in.Validate(); err != nil {
 		return stats, fmt.Errorf("distributed: %w", err)
 	}
@@ -104,16 +139,20 @@ func runNodes(in *core.Instance, opts FederatedOptions, conns []Conn) (stats Fed
 	if opts.OnTopology != nil {
 		opts.OnTopology(part)
 	}
+	// A one-shard node has no peers, so it gets no peer listener.
 	peerLns := make([]net.Listener, K)
-	addrs := make([]string, K)
-	for k := range peerLns {
-		if peerLns[k], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
-			for _, ln := range peerLns[:k] {
-				ln.Close()
+	var addrs []string
+	if K > 1 {
+		addrs = make([]string, K)
+		for k := range peerLns {
+			if peerLns[k], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+				for _, ln := range peerLns[:k] {
+					ln.Close()
+				}
+				return stats, fmt.Errorf("distributed: peer listener: %w", err)
 			}
-			return stats, fmt.Errorf("distributed: peer listener: %w", err)
+			addrs[k] = peerLns[k].Addr().String()
 		}
-		addrs[k] = peerLns[k].Addr().String()
 	}
 
 	stats.Nodes = make([]NodeStats, K)

@@ -22,10 +22,12 @@ func TestFederatedConvergesToNash(t *testing.T) {
 	in := randomInstance(11, 24, 10)
 	for _, policy := range []SelectionPolicy{SUU, PUU, Deterministic} {
 		for _, shards := range []int{1, 2, 4} {
-			stats, err := RunFederatedInProcess(in, FederatedOptions{
-				Shards:   shards,
-				Platform: PlatformConfig{Policy: policy, Seed: 7},
-			}, InProcessOptions{AgentSeedBase: 100, Deterministic: true})
+			stats, err := RunInProcess(in, InProcessOptions{
+				Shards:        shards,
+				Platform:      PlatformConfig{Policy: policy, Seed: 7},
+				AgentSeedBase: 100,
+				Deterministic: true,
+			})
 			if err != nil {
 				t.Fatalf("%s K=%d: %v", policy, shards, err)
 			}
@@ -43,6 +45,94 @@ func TestFederatedConvergesToNash(t *testing.T) {
 	}
 }
 
+// runStandalone runs New(in, conns, WithConfig(cfg)).Run() over one
+// in-process agent per user, agent u seeded agentSeedBase+u: the direct
+// Platform.Run path, the reference the node path (RunInProcess, ServeTCP)
+// is checked against.
+func runStandalone(t *testing.T, in *core.Instance, cfg PlatformConfig, agentSeedBase uint64, deterministic bool) RunStats {
+	t.Helper()
+	n := in.NumUsers()
+	platConns := make([]Conn, n)
+	agentErrs := make([]error, n)
+	var agents sync.WaitGroup
+	for u := 0; u < n; u++ {
+		pc, ac := ChanPair(16)
+		platConns[u] = pc
+		a := NewAgent(ac, AgentConfig{
+			User:  u,
+			Alpha: in.Users[u].Alpha, Beta: in.Users[u].Beta, Gamma: in.Users[u].Gamma,
+			Seed: agentSeedBase + uint64(u), Deterministic: deterministic,
+		})
+		agents.Add(1)
+		go func() {
+			defer agents.Done()
+			agentErrs[u] = a.Run()
+		}()
+	}
+	plat, err := New(in, platConns, WithConfig(cfg))
+	var stats RunStats
+	if err == nil {
+		stats, err = plat.Run()
+	}
+	if err != nil {
+		for _, c := range platConns {
+			c.Close()
+		}
+		agents.Wait()
+		t.Fatalf("standalone platform: %v", err)
+	}
+	agents.Wait()
+	for u, e := range agentErrs {
+		if e != nil {
+			t.Fatalf("standalone agent %d: %v", u, e)
+		}
+	}
+	return stats
+}
+
+// observationLog appends every Observation but its wall time to stream.
+func observationLog(stream *[]string) func(Observation) {
+	return func(o Observation) {
+		*stream = append(*stream, fmt.Sprintf("slot %d requests %d granted %d %v choices %v phi %v %v",
+			o.Slot, o.Requests, o.Granted, o.GrantedUsers, o.Choices, o.Potential, o.PotentialValid))
+	}
+}
+
+// TestStandaloneMatchesNodePath proves by equality that a standalone
+// Platform.Run and the one-shard node path of RunInProcess are one
+// algorithm: for DET, PUU and seeded SUU their Observation streams and
+// run statistics, traffic included, must be identical.
+func TestStandaloneMatchesNodePath(t *testing.T) {
+	in := randomInstance(61, 16, 9)
+	for _, policy := range []SelectionPolicy{Deterministic, PUU, SUU} {
+		t.Run(string(policy), func(t *testing.T) {
+			cfg := func(stream *[]string) PlatformConfig {
+				return PlatformConfig{Policy: policy, Seed: 13, Observer: observationLog(stream),
+					ObservePotential: true, Telemetry: telemetry.NewRegistry()}
+			}
+			var want, got []string
+			alone := runStandalone(t, in, cfg(&want), 3, false)
+			node, err := RunInProcess(in, InProcessOptions{Platform: cfg(&got), AgentSeedBase: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if alone.Slots < 2 {
+				t.Fatalf("standalone run took %d slots; the check needs contention", alone.Slots)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("observation streams diverge:\n got: %q\nwant: %q", got, want)
+			}
+			if node.Slots != alone.Slots || node.Converged != alone.Converged || node.TotalUpdates != alone.TotalUpdates ||
+				!slices.Equal(node.RequestsPerSlot, alone.RequestsPerSlot) ||
+				!slices.Equal(node.SelectedPerSlot, alone.SelectedPerSlot) ||
+				!slices.Equal(node.Choices, alone.Choices) ||
+				node.MessagesSent != alone.MessagesSent || node.MessagesReceived != alone.MessagesReceived {
+				t.Errorf("run statistics diverge:\n got: %+v\nwant: %+v", node.RunStats, alone)
+			}
+		})
+	}
+}
+
 // TestFederatedMatchesStandalone checks the federation is not a different
 // algorithm: with the deterministic policy (and deterministic agents) the
 // final profile must be identical to the single-platform run at every
@@ -50,19 +140,14 @@ func TestFederatedConvergesToNash(t *testing.T) {
 // federated reproduce the standalone run exactly.
 func TestFederatedMatchesStandalone(t *testing.T) {
 	in := randomInstance(3, 20, 8)
-	ref, err := RunInProcess(in, InProcessOptions{
-		Platform:      PlatformConfig{Policy: Deterministic},
-		AgentSeedBase: 55,
-		Deterministic: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runStandalone(t, in, PlatformConfig{Policy: Deterministic}, 55, true)
 	for _, shards := range []int{1, 2, 3, 4} {
-		stats, err := RunFederatedInProcess(in, FederatedOptions{
-			Shards:   shards,
-			Platform: PlatformConfig{Policy: Deterministic},
-		}, InProcessOptions{AgentSeedBase: 55, Deterministic: true})
+		stats, err := RunInProcess(in, InProcessOptions{
+			Shards:        shards,
+			Platform:      PlatformConfig{Policy: Deterministic},
+			AgentSeedBase: 55,
+			Deterministic: true,
+		})
 		if err != nil {
 			t.Fatalf("K=%d: %v", shards, err)
 		}
@@ -76,18 +161,13 @@ func TestFederatedMatchesStandalone(t *testing.T) {
 		}
 	}
 
-	refSUU, err := RunInProcess(in, InProcessOptions{
+	refSUU := runStandalone(t, in, PlatformConfig{Policy: SUU, Seed: 99}, 55, true)
+	fedSUU, err := RunInProcess(in, InProcessOptions{
+		Shards:        1,
 		Platform:      PlatformConfig{Policy: SUU, Seed: 99},
 		AgentSeedBase: 55,
 		Deterministic: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fedSUU, err := RunFederatedInProcess(in, FederatedOptions{
-		Shards:   1,
-		Platform: PlatformConfig{Policy: SUU, Seed: 99},
-	}, InProcessOptions{AgentSeedBase: 55, Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +185,7 @@ func TestFederatedGossipExchange(t *testing.T) {
 	in := randomInstance(17, 16, 6)
 	var mu sync.Mutex
 	var shardObs []ShardObservation
-	stats, err := RunFederatedInProcess(in, FederatedOptions{
+	stats, err := RunInProcess(in, InProcessOptions{
 		Shards:   4,
 		Platform: PlatformConfig{Policy: PUU, Seed: 1},
 		ShardObserver: func(o ShardObservation) {
@@ -113,7 +193,9 @@ func TestFederatedGossipExchange(t *testing.T) {
 			shardObs = append(shardObs, o)
 			mu.Unlock()
 		},
-	}, InProcessOptions{AgentSeedBase: 9, Deterministic: true})
+		AgentSeedBase: 9,
+		Deterministic: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +226,12 @@ func TestFederatedGossipExchange(t *testing.T) {
 // ends on the shards' final routes with a zero Nash gap.
 func TestFederatedObserverPotentialAscent(t *testing.T) {
 	in := randomInstance(23, 18, 7)
-	stats, err := RunFederatedInProcess(in, FederatedOptions{
-		Shards:   3,
-		Platform: PlatformConfig{Policy: PUU, Seed: 3},
-	}, InProcessOptions{AgentSeedBase: 4, Deterministic: true})
+	stats, err := RunInProcess(in, InProcessOptions{
+		Shards:        3,
+		Platform:      PlatformConfig{Policy: PUU, Seed: 3},
+		AgentSeedBase: 4,
+		Deterministic: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +274,14 @@ func TestFederatedExplicitPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	var topo federation.Partition
-	stats, err := RunFederatedInProcess(in, FederatedOptions{
-		Shards:     3,
-		Platform:   PlatformConfig{Policy: SUU, Seed: 2},
-		Partition:  part,
-		OnTopology: func(p federation.Partition) { topo = p },
-	}, InProcessOptions{AgentSeedBase: 6, Deterministic: true})
+	stats, err := RunInProcess(in, InProcessOptions{
+		Shards:        3,
+		Platform:      PlatformConfig{Policy: SUU, Seed: 2},
+		Partition:     part,
+		OnTopology:    func(p federation.Partition) { topo = p },
+		AgentSeedBase: 6,
+		Deterministic: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +306,14 @@ func TestFederatedOptionValidation(t *testing.T) {
 	bad, _ := federation.ByIndex(6, 2)
 	cases := []struct {
 		name string
-		opts FederatedOptions
+		opts InProcessOptions
 	}{
-		{"partition/shard count mismatch", FederatedOptions{Shards: 3, Partition: bad}},
-		{"unknown policy", FederatedOptions{Shards: 2, Platform: PlatformConfig{Policy: "bogus"}}},
-		{"global observer", FederatedOptions{Shards: 2, Platform: PlatformConfig{Observer: func(Observation) {}}}},
+		{"partition/shard count mismatch", InProcessOptions{Shards: 3, Partition: bad}},
+		{"unknown policy", InProcessOptions{Shards: 2, Platform: PlatformConfig{Policy: "bogus"}}},
+		{"global observer", InProcessOptions{Shards: 2, Platform: PlatformConfig{Observer: func(Observation) {}}}},
 	}
 	for _, tc := range cases {
-		if _, err := RunFederatedInProcess(in, tc.opts, InProcessOptions{}); err == nil {
+		if _, err := RunInProcess(in, tc.opts); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
@@ -237,10 +323,12 @@ func TestFederatedOptionValidation(t *testing.T) {
 // the sentinel error surfaces (benchmarks depend on it).
 func TestFederatedNoConvergenceSentinel(t *testing.T) {
 	in := randomInstance(37, 20, 8)
-	_, err := RunFederatedInProcess(in, FederatedOptions{
-		Shards:   2,
-		Platform: PlatformConfig{Policy: SUU, MaxSlots: 1, Seed: 5},
-	}, InProcessOptions{AgentSeedBase: 8, Deterministic: true})
+	_, err := RunInProcess(in, InProcessOptions{
+		Shards:        2,
+		Platform:      PlatformConfig{Policy: SUU, MaxSlots: 1, Seed: 5},
+		AgentSeedBase: 8,
+		Deterministic: true,
+	})
 	if err == nil {
 		t.Skip("instance converged in one slot; sentinel not exercised")
 	}
@@ -293,10 +381,12 @@ func TestTranscriptRejectsMalformed(t *testing.T) {
 func TestFederatedSelectionHistogram(t *testing.T) {
 	in := randomInstance(17, 16, 6)
 	reg := telemetry.NewRegistry()
-	stats, err := RunFederatedInProcess(in, FederatedOptions{
-		Shards:   2,
-		Platform: PlatformConfig{Policy: PUU, Seed: 1, Telemetry: reg},
-	}, InProcessOptions{AgentSeedBase: 9, Deterministic: true})
+	stats, err := RunInProcess(in, InProcessOptions{
+		Shards:        2,
+		Platform:      PlatformConfig{Policy: PUU, Seed: 1, Telemetry: reg},
+		AgentSeedBase: 9,
+		Deterministic: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,24 +408,14 @@ func TestFederatedSelectionHistogram(t *testing.T) {
 // carries a shard label.
 func TestFederatedOneShardObserves(t *testing.T) {
 	in := randomInstance(19, 12, 8)
-	observe := func(stream *[]string) func(Observation) {
-		return func(o Observation) {
-			*stream = append(*stream, fmt.Sprintf("slot %d requests %d granted %v choices %v phi %v %v",
-				o.Slot, o.Requests, o.GrantedUsers, o.Choices, o.Potential, o.PotentialValid))
-		}
-	}
 	var want, got []string
+	runStandalone(t, in, PlatformConfig{Policy: Deterministic, Observer: observationLog(&want), ObservePotential: true, Telemetry: telemetry.NewRegistry()}, 5, false)
+	reg := telemetry.NewRegistry()
 	if _, err := RunInProcess(in, InProcessOptions{
-		Platform:      PlatformConfig{Policy: Deterministic, Observer: observe(&want), ObservePotential: true, Telemetry: telemetry.NewRegistry()},
+		Shards:        1,
+		Platform:      PlatformConfig{Policy: Deterministic, Observer: observationLog(&got), ObservePotential: true, Telemetry: reg},
 		AgentSeedBase: 5,
 	}); err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	if _, err := RunFederatedInProcess(in, FederatedOptions{
-		Shards:   1,
-		Platform: PlatformConfig{Policy: Deterministic, Observer: observe(&got), ObservePotential: true, Telemetry: reg},
-	}, InProcessOptions{AgentSeedBase: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if len(want) < 2 {

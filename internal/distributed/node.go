@@ -19,12 +19,12 @@ import (
 // decides ownership, spatially by default), and ServeNode runs ONE shard,
 // serving its own users' agents and connected to its peers over TCP
 // through the peer mesh of peerlink.go. A multi-process cluster runs one
-// ServeNode per process; RunFederatedInProcess (federated.go) runs all K
-// in one process. A standalone platform (Platform.Run) is the peerless
-// K=1 case: the same round loop, with no peer to exchange requests or
-// gossip with. The round structure is bulk-synchronous, and with no
-// central selector the selection stays globally exact through a
-// symmetric-broadcast argument:
+// ServeNode per process; RunInProcess (federated.go) runs all K in one
+// process. ServeTCP and a standalone Platform.Run are the peerless K=1
+// case: the same init-and-round sequence (nodeRun.run), with no peer to
+// exchange requests or gossip with. The round structure is
+// bulk-synchronous, and with no central selector the selection stays
+// globally exact through a symmetric-broadcast argument:
 //
 //  1. Every shard collects its own users' improvement requests, then
 //     broadcasts them to every peer as one wire.ShardRequests batch (users
@@ -76,7 +76,8 @@ type NodeOptions struct {
 	Shard, Shards int
 	// PeerAddrs holds every shard's peer-mesh address, indexed by shard
 	// (length K). The entry at Shard is informational — this node's own
-	// peer listener is passed to ServeNode already bound.
+	// peer listener is passed to ServeNode already bound. A one-shard node
+	// may leave it nil.
 	PeerAddrs []string
 	// Platform carries the shard-local platform configuration. Policy and
 	// Seed MUST match across all nodes: winner selection is computed
@@ -163,7 +164,8 @@ type nodeRun struct {
 // connections or mux sessions, see acceptLinks), and drives the symmetric
 // federated protocol to completion. It takes ownership of both listeners
 // and of the accepted connections: agentLn closes once the owned users are
-// linked, everything else on return.
+// linked, everything else on return. A one-shard node has no peers and
+// may take a nil peerLn.
 func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions) (NodeStats, error) {
 	defer agentLn.Close()
 	var links agentLinks
@@ -179,14 +181,16 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 // users' connections, in owned-user order, once the peer mesh is up. The
 // connections belong to the caller and stay open on return — closing them
 // here would race the agents' reads of the final Terminate. serveNode owns
-// peerLn. Closing abort (nil = never) fails every pending peer wait with
-// errNodeAborted, so a co-located shard's failure ends this one promptly.
+// peerLn (nil for a one-shard node). Closing abort (nil = never) fails
+// every pending peer wait with errNodeAborted, so a co-located shard's
+// failure ends this one promptly.
 //
-// The stats result is named: the deferred counter reads below (traffic,
-// peer reconnects) must land after the return statement has copied
-// f.stats into it.
+// The stats result is named: the deferred peer-reconnect count below must
+// land after the return statement has copied f.stats into it.
 func serveNode(peerLn net.Listener, in *core.Instance, opts NodeOptions, agents func(federation.Partition) ([]Conn, error), abort <-chan struct{}) (stats NodeStats, err error) {
-	defer peerLn.Close()
+	if peerLn != nil {
+		defer peerLn.Close()
+	}
 	stats = NodeStats{Shard: opts.Shard, Shards: opts.Shards}
 	if err := in.Validate(); err != nil {
 		return stats, fmt.Errorf("distributed: %w", err)
@@ -197,6 +201,12 @@ func serveNode(peerLn net.Listener, in *core.Instance, opts NodeOptions, agents 
 	}
 	if opts.Shard < 0 || opts.Shard >= K {
 		return stats, fmt.Errorf("distributed: shard index %d out of range [0,%d)", opts.Shard, K)
+	}
+	if peerLn == nil && K > 1 {
+		return stats, fmt.Errorf("distributed: shard %d of %d needs a peer listener", opts.Shard, K)
+	}
+	if opts.PeerAddrs == nil {
+		opts.PeerAddrs = []string{""}
 	}
 	if len(opts.PeerAddrs) != K {
 		return stats, fmt.Errorf("distributed: %d peer addresses for %d shards", len(opts.PeerAddrs), K)
@@ -256,7 +266,6 @@ func serveNode(peerLn net.Listener, in *core.Instance, opts NodeOptions, agents 
 
 	// Agent handshake: attach exactly the owned users, then run the
 	// standard init phase over them.
-	owned := part.Owned[opts.Shard]
 	conns, err := agents(part)
 	if err != nil {
 		return f.stats, err
@@ -269,42 +278,51 @@ func serveNode(peerLn net.Listener, in *core.Instance, opts NodeOptions, agents 
 		shardCfg.Observer = nil
 		shardCfg.ObservePotential = false
 	}
-	f.plat, err = New(in, conns, WithConfig(shardCfg), WithShard(opts.Shard, K), WithUsers(owned), withStore(st))
+	f.plat, err = newPlatform(in, conns, shardCfg, part.Owned[opts.Shard], st)
 	if err != nil {
 		return f.stats, fmt.Errorf("distributed: shard %d: %w", opts.Shard, err)
 	}
+	err = f.run(startSlot)
+	return f.stats, err
+}
+
+// run executes Algorithm 2 on this node from startSlot: the init phase
+// over the served users, the init observation and transcript lines, the
+// init gossip flush, and the round loop. It is the one init-and-round
+// sequence of ServeNode and of a standalone Platform.Run.
+func (f *nodeRun) run(startSlot int) error {
+	plat := f.plat
 	defer func() {
-		stats.MessagesSent = f.plat.ctr.Sent()
-		stats.MessagesReceived = f.plat.ctr.Recv()
+		f.stats.MessagesSent = plat.ctr.Sent()
+		f.stats.MessagesReceived = plat.ctr.Recv()
 	}()
 	initStart := time.Now()
-	if err := f.plat.runInit(); err != nil {
-		return f.stats, err
+	if err := plat.runInit(); err != nil {
+		return err
 	}
-	f.plat.observe(0, 0, nil, time.Since(initStart))
-	for _, u := range owned {
-		f.tw.printf("init user %d route %d\n", u, f.plat.choices[u])
+	plat.observe(0, 0, nil, time.Since(initStart))
+	for _, u := range plat.users {
+		f.tw.printf("init user %d route %d\n", u, plat.choices[u])
 	}
 	// Broadcast the initial count batch. A fresh federation stamps it
 	// round 0 and crosses the init barrier so round 1 opens on globally
 	// exact counts; a recovered shard stamps it startSlot-1 — retraction
 	// of the dead incarnation plus the fresh fleet's initial decisions in
 	// one batch — and skips the barrier (its peers are parked mid-round,
-	// not flushing).
-	f.mesh.broadcastGossip(st.Flush(), startSlot-1)
-	if !opts.Resume {
+	// not flushing). Without peers the flush only closes the init epoch.
+	f.mesh.broadcastGossip(f.st.Flush(), startSlot-1)
+	if !f.opts.Resume {
 		if err := f.barrier(0); err != nil {
-			return f.stats, err
+			return err
 		}
 	}
-
 	if err := f.slotLoop(startSlot); err != nil {
-		return f.stats, err
+		return err
 	}
 	if f.tw.err != nil {
-		return f.stats, fmt.Errorf("distributed: transcript: %w", f.tw.err)
+		return fmt.Errorf("distributed: transcript: %w", f.tw.err)
 	}
-	return f.stats, nil
+	return nil
 }
 
 // resolvePartition returns the user placement for a K-shard federation:

@@ -184,22 +184,17 @@ func TestNodeFederationMatchesInProcess(t *testing.T) {
 		for _, K := range shardCounts {
 			t.Run(fmt.Sprintf("%s/K=%d", policy, K), func(t *testing.T) {
 				t.Parallel()
-				fed, err := RunFederatedInProcess(in, FederatedOptions{
-					Shards:   K,
-					Platform: PlatformConfig{Policy: policy, Seed: 1},
-				}, InProcessOptions{AgentSeedBase: 1})
+				fed, err := RunInProcess(in, InProcessOptions{
+					Shards:        K,
+					Platform:      PlatformConfig{Policy: policy, Seed: 1},
+					AgentSeedBase: 1,
+				})
 				if err != nil {
 					t.Fatalf("in-process federation: %v", err)
 				}
 				if policy != SUU || K == 1 {
 					var want bytes.Buffer
-					alone, err := RunInProcess(in, InProcessOptions{
-						Platform:      PlatformConfig{Policy: policy, Seed: 1, Observer: inProcessTranscript(&want)},
-						AgentSeedBase: 1,
-					})
-					if err != nil {
-						t.Fatalf("standalone platform: %v", err)
-					}
+					alone := runStandalone(t, in, PlatformConfig{Policy: policy, Seed: 1, Observer: inProcessTranscript(&want)}, 1, false)
 					if fed.Transcript != want.String() {
 						t.Errorf("in-process federation diverges from the standalone platform:\n got:\n%s\nwant:\n%s", fed.Transcript, want.String())
 					}
@@ -275,10 +270,7 @@ func TestNodeFederationChoices(t *testing.T) {
 	if !prof.IsNash() {
 		t.Error("merged multi-node choices are not a Nash equilibrium")
 	}
-	want, err := RunInProcess(in, InProcessOptions{Platform: PlatformConfig{Policy: Deterministic, Seed: 1}, AgentSeedBase: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runStandalone(t, in, PlatformConfig{Policy: Deterministic, Seed: 1}, 1, false)
 	for u := range merged {
 		if merged[u] != want.Choices[u] {
 			t.Errorf("user %d: multi-node route %d, standalone route %d", u, merged[u], want.Choices[u])
@@ -438,6 +430,52 @@ func TestServeNodeValidation(t *testing.T) {
 	}
 }
 
+// TestServeNodeNilPeerListener checks a node without a peer listener: one
+// shard serves every user and converges to a Nash equilibrium it reports
+// in full, and a shard of a larger federation refuses to start.
+func TestServeNodeNilPeerListener(t *testing.T) {
+	in := nodeTestInstance()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var agents sync.WaitGroup
+	agentErrs := make([]error, in.NumUsers())
+	for u := range agentErrs {
+		agents.Add(1)
+		go func() {
+			defer agents.Done()
+			agentErrs[u] = DialTCP(ln.Addr().String(), AgentConfig{
+				User:  u,
+				Alpha: in.Users[u].Alpha, Beta: in.Users[u].Beta, Gamma: in.Users[u].Gamma,
+				Seed: 1 + uint64(u),
+			})
+		}()
+	}
+	stats, err := ServeNode(ln, nil, in, NodeOptions{Shards: 1, Platform: PlatformConfig{Policy: PUU, Seed: 1}})
+	agents.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, e := range agentErrs {
+		if e != nil {
+			t.Fatalf("agent %d: %v", u, e)
+		}
+	}
+	if !stats.Converged || !profileOf(t, in, stats.Choices).IsNash() {
+		t.Fatalf("one-shard node without a peer listener: converged %v, choices %v", stats.Converged, stats.Choices)
+	}
+
+	ln, err = net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ServeNode(ln, nil, in, NodeOptions{Shard: 0, Shards: 2, PeerAddrs: []string{"a", "b"}})
+	if err == nil || !strings.Contains(err.Error(), "peer listener") {
+		t.Fatalf("shard 0 of 2 without a peer listener: error %v, want a missing-listener refusal", err)
+	}
+}
+
 // TestServeNodeLeavesHandedInConnsOpen is the conn-ownership regression:
 // serveNode must not close connections its caller handed in. Closing them
 // on return races the agents' reads of the final Terminate, which a
@@ -508,10 +546,11 @@ func TestServeNodeSilentConnection(t *testing.T) {
 func TestServeNodeMuxedFleets(t *testing.T) {
 	in := nodeTestInstance()
 	const K = 2
-	fed, err := RunFederatedInProcess(in, FederatedOptions{
-		Shards:   K,
-		Platform: PlatformConfig{Policy: PUU, Seed: 1},
-	}, InProcessOptions{AgentSeedBase: 1})
+	fed, err := RunInProcess(in, InProcessOptions{
+		Shards:        K,
+		Platform:      PlatformConfig{Policy: PUU, Seed: 1},
+		AgentSeedBase: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

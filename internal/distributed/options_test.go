@@ -1,15 +1,17 @@
 package distributed
 
 import (
+	"net"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/distributed/federation"
 	"repro/internal/telemetry"
 )
 
 // TestNewOptionValidation table-tests the construction-time validation of
-// the functional-options API.
+// a platform's inputs: its configuration and connections (New), the users
+// and store a shard serves (newPlatform), and the shard range (ServeNode).
 func TestNewOptionValidation(t *testing.T) {
 	in := randomInstance(41, 6, 4)
 	conns := func(n int) []Conn {
@@ -19,29 +21,59 @@ func TestNewOptionValidation(t *testing.T) {
 		}
 		return cs
 	}
+	store := func(k, K int) *federation.Store {
+		st, err := federation.NewStore(in.NumTasks(), k, K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	shard := func(k, K int, users []int) func() error {
+		return func() error {
+			_, err := newPlatform(in, conns(len(users)), PlatformConfig{}, users, store(k, K))
+			return err
+		}
+	}
+	node := func(k, K int) func() error {
+		return func() error {
+			a, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ServeNode(a, p, in, NodeOptions{Shard: k, Shards: K, PeerAddrs: make([]string, max(K, 1))})
+			return err
+		}
+	}
+	newWith := func(n int, opts ...Option) func() error {
+		return func() error {
+			p, err := New(in, conns(n), opts...)
+			if err != nil && p != nil {
+				t.Errorf("got platform alongside error %v", err)
+			}
+			return err
+		}
+	}
 	cases := []struct {
 		name    string
-		conns   []Conn
-		opts    []Option
+		build   func() error
 		wantErr string
 	}{
-		{"defaults", conns(6), nil, ""},
-		{"nil-registry-defaults", conns(6), []Option{WithTelemetry(nil)}, ""},
-		{"zero-timeout", conns(6), []Option{WithSlotTimeout(0)}, "slot timeout"},
-		{"negative-timeout", conns(6), []Option{WithSlotTimeout(-time.Second)}, "slot timeout"},
-		{"zero-max-slots", conns(6), []Option{WithMaxSlots(0)}, "max slots"},
-		{"shard-count-zero", conns(6), []Option{WithShard(0, 0)}, "shard count"},
-		{"shard-index-negative", conns(6), []Option{WithShard(-1, 2)}, "shard index"},
-		{"shard-index-too-big", conns(6), []Option{WithShard(2, 2)}, "shard index"},
-		{"shard-needs-users", conns(3), []Option{WithShard(0, 2)}, "WithUsers"},
-		{"conn-user-mismatch", conns(4), []Option{WithUsers([]int{0, 1, 2})}, "4 connections for 3 users"},
-		{"user-out-of-range", conns(2), []Option{WithUsers([]int{0, 6})}, "out of range"},
-		{"user-duplicated", conns(2), []Option{WithUsers([]int{1, 1})}, "served twice"},
-		{"unknown-policy", conns(6), []Option{WithPolicy("bogus")}, "unknown policy"},
-		{"sharded-ok", conns(3), []Option{WithShard(0, 2), WithUsers([]int{0, 2, 4})}, ""},
+		{"defaults", newWith(6), ""},
+		{"conn-user-mismatch", newWith(4), "4 connections for 6 users"},
+		{"unknown-policy", newWith(6, WithConfig(PlatformConfig{Policy: "bogus"})), "unknown policy"},
+		{"user-out-of-range", shard(0, 2, []int{0, 6}), "out of range"},
+		{"user-duplicated", shard(0, 2, []int{1, 1}), "served twice"},
+		{"sharded-ok", shard(0, 2, []int{0, 2, 4}), ""},
+		{"shard-count-zero", node(0, 0), "Shards >= 1"},
+		{"shard-index-negative", node(-1, 2), "shard index"},
+		{"shard-index-too-big", node(2, 2), "shard index"},
 	}
 	for _, tc := range cases {
-		p, err := New(in, tc.conns, tc.opts...)
+		err := tc.build()
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error: %v", tc.name, err)
@@ -50,9 +82,6 @@ func TestNewOptionValidation(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %v, want containing %q", tc.name, err, tc.wantErr)
-		}
-		if p != nil {
-			t.Errorf("%s: got platform alongside error", tc.name)
 		}
 	}
 }
@@ -66,7 +95,7 @@ func TestNewOptionDefaults(t *testing.T) {
 		cs[i], _ = ChanPair(1)
 	}
 	reg := telemetry.NewRegistry()
-	p, err := New(in, cs, WithTelemetry(reg))
+	p, err := New(in, cs, WithConfig(PlatformConfig{Telemetry: reg}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +105,8 @@ func TestNewOptionDefaults(t *testing.T) {
 	if p.cfg.MaxSlots <= 0 {
 		t.Errorf("default MaxSlots %d, want > 0", p.cfg.MaxSlots)
 	}
-	if p.shard != -1 || p.shards != 0 {
-		t.Errorf("standalone platform reports shard %d/%d, want -1/0", p.shard, p.shards)
+	if st := p.store; st.Shard() != 0 || st.Shards() != 1 {
+		t.Errorf("standalone platform counts through store %d/%d, want 0/1", st.Shard(), st.Shards())
 	}
 	snap := reg.Snapshot()
 	if _, ok := snap.Counters["distributed_slots_total"]; !ok {
@@ -97,71 +126,44 @@ func TestNewOptionDefaults(t *testing.T) {
 		t.Errorf("default users %v, want [0 1 2 3]", got)
 	}
 
-	sharded, err := New(in, cs[:2], WithShard(1, 2), WithUsers([]int{1, 3}))
+	st, err := federation.NewStore(in.NumTasks(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharded.shard != 1 || sharded.shards != 2 {
-		t.Errorf("sharded platform reports %d/%d, want 1/2", sharded.shard, sharded.shards)
+	shardReg := telemetry.NewRegistry()
+	sharded, err := newPlatform(in, cs[:2], PlatformConfig{Telemetry: shardReg}, []int{1, 3}, st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := sharded.store; st.Shard() != 1 || st.Shards() != 2 {
-		t.Errorf("auto-built store is shard %d/%d", st.Shard(), st.Shards())
+	if sharded.store != st {
+		t.Error("sharded platform does not count through the store it was handed")
+	}
+	if _, ok := shardReg.Snapshot().Counters[`distributed_slots_total{shard="1"}`]; !ok {
+		t.Errorf("shard 1 of 2 registered no labelled slot counter: %v", shardReg.Snapshot().Counters)
 	}
 }
 
 // TestNewRunsWithOptions drives a full run through New with an explicit
-// registry and a slot timeout, to check the options compose end to end.
+// registry, policy, seed and observer, to check the configuration lands
+// end to end.
 func TestNewRunsWithOptions(t *testing.T) {
 	in := randomInstance(47, 8, 5)
 	reg := telemetry.NewRegistry()
 	var observed int
-	run := func(opts ...Option) RunStats {
-		t.Helper()
-		n := in.NumUsers()
-		platConns := make([]Conn, n)
-		agentConns := make([]Conn, n)
-		for i := 0; i < n; i++ {
-			platConns[i], agentConns[i] = ChanPair(16)
-		}
-		p, err := New(in, platConns, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, n)
-		for i := 0; i < n; i++ {
-			go func(i int) {
-				cfg := AgentConfig{
-					User:  i,
-					Alpha: in.Users[i].Alpha, Beta: in.Users[i].Beta, Gamma: in.Users[i].Gamma,
-					Seed: 100 + uint64(i), Deterministic: true,
-				}
-				done <- NewAgent(agentConns[i], cfg).Run()
-			}(i)
-		}
-		stats, err := p.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-		}
-		return stats
-	}
-
-	stats := run(
-		WithPolicy(PUU),
-		WithSeed(9),
-		WithTelemetry(reg),
-		WithSlotTimeout(5*time.Second),
-		WithObserver(func(Observation) { observed++ }),
-	)
+	stats := runStandalone(t, in, PlatformConfig{
+		Policy:    PUU,
+		Seed:      9,
+		Telemetry: reg,
+		Observer:  func(Observation) { observed++ },
+	}, 100, true)
 	if !stats.Converged {
 		t.Fatal("run did not converge")
 	}
-	if observed == 0 {
-		t.Error("observer never invoked")
+	if observed != stats.Slots+1 {
+		t.Errorf("observer invoked %d times for %d slots plus init", observed, stats.Slots)
+	}
+	if got := reg.Snapshot().Counters["distributed_slots_total"]; got != uint64(stats.Slots) {
+		t.Errorf("registry counted %d slots, run took %d", got, stats.Slots)
 	}
 	if !profileOf(t, in, stats.Choices).IsNash() {
 		t.Fatal("run not Nash")

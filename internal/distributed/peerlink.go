@@ -84,7 +84,8 @@ type peerMesh struct {
 // newPeerMesh builds the mesh and starts its accept loop and dialers.
 // Links to lower-index peers are dialed, higher-index peers are accepted;
 // establishment happens in the background — use awaitConnected before the
-// first exchange.
+// first exchange. A one-shard node's mesh may have a nil ln, and then
+// starts no accept loop.
 func newPeerMesh(ln net.Listener, self int, addrs []string, retry, timeout time.Duration, st *federation.Store, resume bool, observe func(PeerStatus), abort <-chan struct{}) *peerMesh {
 	m := &peerMesh{
 		self:    self,
@@ -104,8 +105,10 @@ func newPeerMesh(ln net.Listener, self int, addrs []string, retry, timeout time.
 		}
 		m.links[p] = newPeerLink(m, p)
 	}
-	m.wg.Add(1)
-	go m.acceptLoop()
+	if ln != nil {
+		m.wg.Add(1)
+		go m.acceptLoop()
+	}
 	for p, l := range m.links {
 		if p < self {
 			m.wg.Add(1)
@@ -121,7 +124,9 @@ func (m *peerMesh) close() {
 	if !m.closed.CompareAndSwap(false, true) {
 		return
 	}
-	m.ln.Close()
+	if m.ln != nil {
+		m.ln.Close()
+	}
 	for _, l := range m.links {
 		l.closeConn()
 	}

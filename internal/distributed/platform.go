@@ -59,10 +59,10 @@ type Observation struct {
 	PotentialValid bool
 }
 
-// PlatformConfig configures a platform run. It remains the configuration
-// carrier for the runner option structs (InProcessOptions, ChaosOptions);
-// direct construction should use New with functional options, which
-// accepts a whole PlatformConfig via WithConfig.
+// PlatformConfig configures a platform run. It is the one configuration
+// carrier: New takes it through WithConfig, and the runners take it as
+// their Platform field (InProcessOptions, ChaosOptions, NodeOptions) or as
+// an argument (ServeTCP).
 type PlatformConfig struct {
 	Policy   SelectionPolicy
 	MaxSlots int // 0 = engine.DefaultMaxSlots
@@ -112,11 +112,10 @@ type appliedMove struct {
 // preference weights, which stay on the agents.
 //
 // A Platform serves either the whole user population (the classic layout)
-// or, when built with WithShard, the subset of users a federation shard
-// owns: the slot protocol below is entirely shard-local, with the shared
-// participation counts read through the replicated store. A standalone
-// platform holds a one-shard store and runs the federation node's round
-// loop with no peers (see Run).
+// or the subset of users a federation shard owns: the slot protocol below
+// is entirely shard-local, with the shared participation counts read
+// through the replicated store. A standalone platform holds a one-shard
+// store and runs the federation node's round loop with no peers (see Run).
 type Platform struct {
 	in    *core.Instance
 	conns []Conn
@@ -129,10 +128,6 @@ type Platform struct {
 	users  []int
 	local  []int
 	unions [][]int32
-
-	// shard/shards identify this platform's slice of a federated run;
-	// shard is -1 for a standalone platform, whose metrics go unlabelled.
-	shard, shards int
 
 	store   *federation.Store
 	view    []int // per-slot snapshot of store counts
@@ -443,7 +438,7 @@ func (p *Platform) commitSlot(slot int, winners []engine.Request) ([]appliedMove
 	for _, w := range winners {
 		li := p.local[w.User]
 		if li < 0 {
-			return nil, fmt.Errorf("distributed: winner %d not served by shard %d", w.User, p.shard)
+			return nil, fmt.Errorf("distributed: winner %d not served by shard %d", w.User, p.store.Shard())
 		}
 		if err := p.send(li, &wire.Message{Kind: wire.KindGrant, Grant: &wire.Grant{Slot: slot}}); err != nil {
 			return nil, err
@@ -490,22 +485,12 @@ func (p *Platform) terminate(slot int) error {
 
 // Run executes Algorithm 2 over the served users to completion and returns
 // the run statistics. A standalone platform is the peerless case of the
-// federation node: after the init phase it runs the node's round loop as
-// the only shard, whose request exchange and gossip barrier have no peers
-// to wait for.
-func (p *Platform) Run() (stats RunStats, err error) {
-	defer func() {
-		stats.MessagesSent = p.ctr.Sent()
-		stats.MessagesReceived = p.ctr.Recv()
-	}()
-	runStart := time.Now()
-	if err := p.runInit(); err != nil {
-		return stats, err
-	}
-	p.observe(0, 0, nil, time.Since(runStart))
-	p.store.Flush() // close the init epoch, as a node's init broadcast does
+// federation node: it runs the node's init-and-round sequence as the only
+// shard, whose request exchange and gossip barrier have no peers to wait
+// for.
+func (p *Platform) Run() (RunStats, error) {
 	f := &nodeRun{opts: NodeOptions{Shards: 1}, st: p.store, mesh: &peerMesh{}, plat: p}
-	err = f.slotLoop(1)
+	err := f.run(1)
 	return f.stats.RunStats, err
 }
 

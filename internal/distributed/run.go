@@ -12,105 +12,12 @@ import (
 	"repro/internal/wire"
 )
 
-// InProcessOptions configures RunInProcess.
-type InProcessOptions struct {
-	Platform PlatformConfig
-	// AgentSeedBase seeds agent i with AgentSeedBase + i.
-	AgentSeedBase uint64
-	// Deterministic propagates to every agent (see AgentConfig).
-	Deterministic bool
-	// DupProb injects duplicate deliveries on every agent link with the
-	// given probability (0 = reliable links).
-	DupProb float64
-}
-
-// RunInProcess runs the full distributed protocol inside one process: one
-// platform goroutine plus one agent goroutine per user, connected by
-// channel transports. It blocks until the protocol terminates and returns
-// the platform's statistics. Agent errors are joined into the returned
-// error.
-func RunInProcess(in *core.Instance, opts InProcessOptions) (RunStats, error) {
-	conns, finish := startInProcessAgents(in, opts)
-	plat, err := New(in, conns, WithConfig(opts.Platform))
-	if err != nil {
-		return RunStats{}, finish(err)
-	}
-	stats, err := plat.Run()
-	return stats, finish(err)
-}
-
-// startInProcessAgents starts one agent goroutine per user on a channel
-// transport and returns the platform ends, indexed by user. finish takes
-// the platform side's error: on failure it closes the platform ends to
-// unblock agents still waiting on them, then joins the agents and returns
-// the platform error, else the first agent error.
-func startInProcessAgents(in *core.Instance, opts InProcessOptions) (conns []Conn, finish func(error) error) {
-	n := in.NumUsers()
-	conns = make([]Conn, n)
-	var wg sync.WaitGroup
-	agentErrs := make([]error, n)
-	for i, u := range in.Users {
-		pc, ac := ChanPair(16)
-		if opts.DupProb > 0 {
-			// Fault injection uses a seeded child schedule per link for
-			// determinism.
-			pc = NewFaultConn(pc, FaultProfile{DupProb: opts.DupProb}, faultSeed(opts.AgentSeedBase, i, 0), nil)
-			ac = NewFaultConn(ac, FaultProfile{DupProb: opts.DupProb}, faultSeed(opts.AgentSeedBase, i, 1), nil)
-		}
-		conns[i] = pc
-		a := NewAgent(ac, AgentConfig{
-			User:          i,
-			Alpha:         u.Alpha,
-			Beta:          u.Beta,
-			Gamma:         u.Gamma,
-			Seed:          opts.AgentSeedBase + uint64(i),
-			Deterministic: opts.Deterministic,
-		})
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			agentErrs[i] = a.Run()
-		}(i)
-	}
-	return conns, func(perr error) error {
-		if perr != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-		}
-		wg.Wait()
-		for i, e := range agentErrs {
-			if e != nil && perr == nil {
-				perr = fmt.Errorf("agent %d: %w", i, e)
-			}
-		}
-		return perr
-	}
-}
-
-// faultSeed derives a per-link, per-side fault schedule seed.
-func faultSeed(base uint64, user, side int) uint64 {
-	return base*2654435761 + uint64(user)*97 + uint64(side)
-}
-
-// ServeTCP runs the platform over TCP: it accepts the links of all
-// in.NumUsers() agents on the listener (see acceptLinks), closes the
-// listener, and then runs Algorithm 2 to completion.
+// ServeTCP runs the platform over TCP as a one-shard node: it accepts the
+// links of all in.NumUsers() agents on the listener (see acceptLinks),
+// closes the listener, and then runs Algorithm 2 to completion.
 func ServeTCP(ln net.Listener, in *core.Instance, cfg PlatformConfig) (RunStats, error) {
-	users := make([]int, in.NumUsers())
-	for u := range users {
-		users[u] = u
-	}
-	links, err := acceptLinks(ln, users)
-	if err != nil {
-		return RunStats{}, err
-	}
-	defer links.close()
-	plat, err := New(in, links.conns, WithConfig(cfg))
-	if err != nil {
-		return RunStats{}, err
-	}
-	return plat.Run()
+	stats, err := ServeNode(ln, nil, in, NodeOptions{Shards: 1, Platform: cfg})
+	return stats.RunStats, err
 }
 
 // agentLinks is what an accept phase collected: one link per served user,

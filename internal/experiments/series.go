@@ -99,5 +99,5 @@ func CaptureConvergence(in *core.Instance, opts CurveOptions) (*Curve, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: no potential curve recorded: %w", err)
 	}
-	return &Curve{Store: st, Stats: stats, Points: res.Points}, nil
+	return &Curve{Store: st, Stats: stats.RunStats, Points: res.Points}, nil
 }

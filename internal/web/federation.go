@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the federation surface of the v1 API. A sharded platform
-// wires two extra hooks into the server — FederatedOptions.OnTopology and
-// FederatedOptions.ShardObserver — and the server then reports the shard
-// count in /api/v1/status and serves the full shard topology plus live
-// per-shard state at /api/v1/shards.
+// wires two extra hooks into the server — OnTopology and ShardObserver of
+// distributed.InProcessOptions or distributed.NodeOptions — and the server
+// then reports the shard count in /api/v1/status and serves the full shard
+// topology plus live per-shard state at /api/v1/shards.
 
 // ShardStatus is one shard's entry in the /api/v1/shards payload: the
 // static ownership from the partition plus the live per-round state fed by
@@ -75,8 +75,9 @@ type ShardsPayload struct {
 }
 
 // SetTopology installs the resolved user partition; plug it into
-// distributed.FederatedOptions.OnTopology. It resets any previous shard
-// state, so a restarted federation starts from a clean topology.
+// distributed.InProcessOptions.OnTopology or NodeOptions.OnTopology. It
+// resets any previous shard state, so a restarted federation starts from a
+// clean topology.
 func (s *Server) SetTopology(part federation.Partition) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -89,8 +90,9 @@ func (s *Server) SetTopology(part federation.Partition) {
 }
 
 // ShardObserver returns the callback to plug into
-// distributed.FederatedOptions.ShardObserver. It is safe for concurrent
-// use (shards observe from their own goroutines).
+// distributed.InProcessOptions.ShardObserver or NodeOptions.ShardObserver.
+// It is safe for concurrent use (shards observe from their own
+// goroutines).
 func (s *Server) ShardObserver() func(distributed.ShardObservation) {
 	return func(o distributed.ShardObservation) {
 		s.mu.Lock()

@@ -96,12 +96,14 @@ func TestShardsEndToEnd(t *testing.T) {
 	s, ts := testServer()
 	defer ts.Close()
 
-	stats, err := distributed.RunFederatedInProcess(in, distributed.FederatedOptions{
+	stats, err := distributed.RunInProcess(in, distributed.InProcessOptions{
 		Shards:        3,
 		Platform:      distributed.PlatformConfig{Policy: distributed.PUU, Seed: 5},
 		ShardObserver: s.ShardObserver(),
 		OnTopology:    s.SetTopology,
-	}, distributed.InProcessOptions{AgentSeedBase: 40, Deterministic: true})
+		AgentSeedBase: 40,
+		Deterministic: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
