@@ -103,6 +103,11 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
+	// seen[k] == stamp marks task k as covered by the route being checked;
+	// bumping stamp once per route clears every mark without touching seen,
+	// so the whole pass allocates once however many routes there are.
+	seen := make([]int32, len(in.Tasks))
+	var stamp int32
 	for i, u := range in.Users {
 		if UserID(i) != u.ID {
 			return fmt.Errorf("core: user %d stored at index %d", u.ID, i)
@@ -120,15 +125,15 @@ func (in *Instance) Validate() error {
 			if r.Detour < 0 || r.Congestion < 0 {
 				return fmt.Errorf("core: user %d route %d has negative detour/congestion", u.ID, ri)
 			}
-			seen := map[task.ID]bool{}
+			stamp++
 			for _, k := range r.Tasks {
 				if int(k) < 0 || int(k) >= len(in.Tasks) {
 					return fmt.Errorf("core: user %d route %d covers unknown task %d", u.ID, ri, k)
 				}
-				if seen[k] {
+				if seen[k] == stamp {
 					return fmt.Errorf("core: user %d route %d covers task %d twice", u.ID, ri, k)
 				}
-				seen[k] = true
+				seen[k] = stamp
 			}
 		}
 	}

@@ -86,6 +86,68 @@ func TestValidateRejectsBad(t *testing.T) {
 	}
 }
 
+// Validate's duplicate check marks a task per route, not per user or per
+// instance: a task may recur across routes, and only a repeat within one
+// route is an error.
+func TestValidateDuplicateScope(t *testing.T) {
+	accept := []struct {
+		name   string
+		mutate func(*Instance)
+	}{
+		{"same task on two routes of one user", func(in *Instance) {
+			in.Users[0].Routes[0].Tasks = []task.ID{0, 1}
+			in.Users[0].Routes[1].Tasks = []task.ID{1, 0}
+		}},
+		{"same task on routes of different users", func(in *Instance) {
+			in.Users[0].Routes[1].Tasks = []task.ID{0, 1}
+			in.Users[1].Routes[1].Tasks = []task.ID{1, 0}
+		}},
+		{"task 0 on the first route", func(in *Instance) { in.Users[0].Routes[0].Tasks = []task.ID{0} }},
+	}
+	for _, c := range accept {
+		in := twoUserInstance()
+		c.mutate(in)
+		if err := in.Validate(); err != nil {
+			t.Errorf("%s: Validate rejected a valid instance: %v", c.name, err)
+		}
+	}
+	reject := []struct {
+		name, want string
+		mutate     func(*Instance)
+	}{
+		{"non-adjacent duplicate on a later route of a later user",
+			"core: user 1 route 1 covers task 0 twice",
+			func(in *Instance) { in.Users[1].Routes[1].Tasks = []task.ID{0, 1, 0} }},
+		{"negative task ID",
+			"core: user 0 route 1 covers unknown task -1",
+			func(in *Instance) { in.Users[0].Routes[1].Tasks = []task.ID{1, -1} }},
+	}
+	for _, c := range reject {
+		in := twoUserInstance()
+		c.mutate(in)
+		err := in.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted a bad instance", c.name)
+		} else if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// Validate on a road-sized instance (3000 users, 800 tasks, routes of up to
+// 51 tasks) allocates only its per-task stamp slice.
+func TestValidateAllocs(t *testing.T) {
+	cfg := DefaultRandomConfig(3000, 800)
+	cfg.TasksPerRouteMax = 51
+	in := RandomInstance(cfg, rng.New(7))
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(5, func() { _ = in.Validate() }); a > 1 {
+		t.Errorf("Validate allocates %v times per call, want at most 1", a)
+	}
+}
+
 func TestCounts(t *testing.T) {
 	in := twoUserInstance()
 	p := mustProfile(t, in, []int{0, 0}) // both cover task 0; user1 also task 1

@@ -5,6 +5,8 @@
 package spatial
 
 import (
+	"slices"
+
 	"repro/internal/geo"
 )
 
@@ -153,15 +155,53 @@ func (x *Index) WithinRadiusOfPoint(p geo.Point, r float64, dst []int) []int {
 // WithinRadiusOfPolyline appends to dst the IDs of items within r of any
 // segment of the polyline. IDs are deduplicated and returned in ascending
 // order.
+//
+// For finite r and coordinates, an item is reported exactly when
+// pl.DistToPoint(it.Pos) <= r: the same floating-point distances decide,
+// but only for items in the polyline's box widened by reach, only for the
+// segments whose widened box holds the item, and the first segment within
+// r settles it.
 func (x *Index) WithinRadiusOfPolyline(pl geo.Polyline, r float64, dst []int) []int {
 	if len(pl) == 0 {
 		return dst
 	}
-	query := geo.Bound(pl).Expand(r)
-	dst = x.root.collect(query, dst, func(it Item) bool {
-		return pl.DistToPoint(it.Pos) <= r
+	box := geo.Bound(pl)
+	reach := r + padRel*(max(-box.Min.X, box.Max.X, -box.Min.Y, box.Max.Y, 0)+r)
+	dst = x.root.collect(box.Expand(reach), dst, func(it Item) bool {
+		return nearPolyline(pl, it.Pos, r, reach)
 	})
 	return dedupSortedInts(dst)
+}
+
+// padRel scales the rounding pad that widens a box by more than r. For
+// coordinates of magnitude at most S, a segment's computed closest point
+// (Segment.ClosestPoint's Lerp with t in [0,1]) lies within ~8u·S of the
+// segment's box, and rounding the offset to the item and the box bound
+// itself add ~u·(S+r) more (u = 2^-53). The distance is a math.Hypot of
+// that offset, which is never below either component's magnitude, so an
+// item more than r + 1e-9·(S+r) outside the box along either axis is
+// farther than r from the segment in floating point too.
+const padRel = 1e-9
+
+// nearPolyline reports pl.DistToPoint(p) <= r for a non-empty polyline,
+// skipping the exact distance of every segment whose box widened by reach
+// excludes p. A NaN coordinate fails every box comparison, so it falls
+// through to the exact distance.
+func nearPolyline(pl geo.Polyline, p geo.Point, r, reach float64) bool {
+	if len(pl) == 1 {
+		return pl[0].Dist(p) <= r
+	}
+	for i := 1; i < len(pl); i++ {
+		a, b := pl[i-1], pl[i]
+		if p.X > max(a.X, b.X)+reach || p.X < min(a.X, b.X)-reach ||
+			p.Y > max(a.Y, b.Y)+reach || p.Y < min(a.Y, b.Y)-reach {
+			continue
+		}
+		if (geo.Segment{A: a, B: b}).DistToPoint(p) <= r {
+			return true
+		}
+	}
+	return false
 }
 
 // collect walks nodes intersecting the query rect, appending matching IDs.
@@ -189,20 +229,6 @@ func rectsIntersect(a, b geo.Rect) bool {
 
 // dedupSortedInts sorts and deduplicates in place.
 func dedupSortedInts(v []int) []int {
-	if len(v) < 2 {
-		return v
-	}
-	// Insertion sort: query result sets are small.
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-	out := v[:1]
-	for _, x := range v[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
+	slices.Sort(v)
+	return slices.Compact(v)
 }
