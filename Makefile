@@ -55,7 +55,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMuxFrames -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzProfileMoves -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzShortestPathEquivalence -fuzztime 5s ./internal/roadnet
-	$(GO) test -run '^$$' -fuzz FuzzCHPathEquivalence -fuzztime 5s ./internal/roadnet
 	$(GO) test -run '^$$' -fuzz FuzzWithinRadiusOfPolyline -fuzztime 5s ./internal/spatial
 
 # Full local CI gate: build, vet, tests, race (including the chaos suite),
@@ -92,16 +91,15 @@ bench-core:
 	$(GO) run ./cmd/benchcore -benchtime $(BENCHTIME) -min-speedup 5 -o $(BENCH_OUT)
 
 # Machine-readable baseline for the routing engine: goal-directed (ALT)
-# search, the contraction-hierarchy engine stacked on it, and route
-# recommendation vs the frozen reference implementations, plus the
-# parallel-vs-sequential scenario build, written to BENCH_routing.json on a
-# |V| ladder up to one million nodes. Fails if the scenario-build speedup at
-# M=5000 is <3x, the CH-over-ALT query speedup at |V|=1M is <5x, or a warm
-# engine query (ALT or CH) allocates.
+# search and route recommendation vs the frozen reference implementations,
+# plus the parallel-vs-sequential scenario build, written to
+# BENCH_routing.json on a |V| ladder up to one million nodes. Fails if the
+# scenario-build speedup at M=5000 is <3x or a warm ALT engine query
+# allocates.
 BENCH_ROUTING_OUT ?= BENCH_routing.json
 bench-routing:
 	$(GO) run ./cmd/benchcore -suite routing -benchtime $(BENCHTIME) \
-		-min-scenario-speedup 3 -min-ch-speedup 5 -routing-o $(BENCH_ROUTING_OUT)
+		-min-scenario-speedup 3 -routing-o $(BENCH_ROUTING_OUT)
 
 # Machine-readable baseline for the distributed tracer: disabled, unsampled,
 # and sampled span costs plus flight-recorder event throughput, written to

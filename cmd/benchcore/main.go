@@ -66,7 +66,6 @@ func main() {
 		naiveMax   = flag.Int("naive-max", 500, "largest M the naive oracle is benchmarked at")
 		minSpeedup = flag.Float64("min-speedup", 0, "fail unless NashGap and Slot speedups at M=500 reach this factor (0 disables)")
 		minScen    = flag.Float64("min-scenario-speedup", 0, "fail unless the scenario-build speedup at M=5000 reaches this factor and warm engine queries are allocation-free (0 disables)")
-		minCH      = flag.Float64("min-ch-speedup", 0, "fail unless the contraction-hierarchy query speedup over ALT at the largest graph size reaches this factor (0 disables)")
 	)
 	testing.Init()
 	flag.Parse()
@@ -150,32 +149,17 @@ func main() {
 				os.Exit(1)
 			}
 			for _, v := range rep.GraphSizes {
-				for _, metric := range []string{"ShortestPath", "ShortestPathCH"} {
-					name := fmt.Sprintf("%s/engine/%d", metric, v)
-					e := rep.EntryFor(name)
-					if e == nil {
-						fmt.Fprintf(os.Stderr, "benchcore: missing entry %s\n", name)
-						os.Exit(1)
-					}
-					if e.AllocsPerOp != 0 {
-						fmt.Fprintf(os.Stderr, "benchcore: %s allocates %d objects/op, want 0 (warm scratch)\n",
-							name, e.AllocsPerOp)
-						os.Exit(1)
-					}
+				name := fmt.Sprintf("ShortestPath/engine/%d", v)
+				e := rep.EntryFor(name)
+				if e == nil {
+					fmt.Fprintf(os.Stderr, "benchcore: missing entry %s\n", name)
+					os.Exit(1)
 				}
-			}
-		}
-		if *minCH > 0 {
-			largest := 0
-			for _, v := range rep.GraphSizes {
-				if v > largest {
-					largest = v
+				if e.AllocsPerOp != 0 {
+					fmt.Fprintf(os.Stderr, "benchcore: %s allocates %d objects/op, want 0 (warm scratch)\n",
+						name, e.AllocsPerOp)
+					os.Exit(1)
 				}
-			}
-			if got := rep.SpeedupFor("ShortestPathCH", largest); got < *minCH {
-				fmt.Fprintf(os.Stderr, "benchcore: CH-over-ALT speedup at |V|=%d is %.1fx, below the %.1fx floor\n",
-					largest, got, *minCH)
-				os.Exit(1)
 			}
 		}
 	}

@@ -16,7 +16,7 @@
 //   - internal/distributed + internal/wire — the protocol as real message
 //     passing between a platform and per-user agents (goroutines or TCP).
 //   - internal/roadnet, internal/trace, internal/task — the evaluation
-//     substrates: road graphs, Yen K-shortest-path route recommendation,
+//     substrates: road graphs, penalty-based alternative-route recommendation,
 //     synthetic taxi-trace datasets, and sensing tasks.
 //   - internal/experiments — a driver per table/figure of §5, exercised by
 //     the benchmarks in bench_test.go and the cmd/vcsnav CLI.

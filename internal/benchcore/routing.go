@@ -14,18 +14,14 @@ import (
 )
 
 // This file is the routing-engine counterpart of the incremental-evaluation
-// suite: it measures the goal-directed (ALT) engine, the contraction-
-// hierarchy engine stacked on top of it, and the parallel scenario builder
-// against the frozen reference implementations they are differentially
-// tested against, and serializes BENCH_routing.json.
+// suite: it measures the goal-directed (ALT) engine and the parallel
+// scenario builder against the frozen reference implementations they are
+// differentially tested against, and serializes BENCH_routing.json.
 
-// benchGraph is one cached benchmark road network plus a fixed OD workload
-// and, for the metropolitan ladder, its lazily built contraction hierarchy.
+// benchGraph is one cached benchmark road network plus a fixed OD workload.
 type benchGraph struct {
-	g      *roadnet.Graph
-	ods    [][2]roadnet.NodeID
-	chOnce sync.Once
-	ch     *roadnet.Hierarchy
+	g   *roadnet.Graph
+	ods [][2]roadnet.NodeID
 }
 
 var (
@@ -36,9 +32,8 @@ var (
 // routingGraphSizes are the |V| targets of the query ladder: metropolitan
 // grids of side²≈|V| with jittered blocks, heterogeneous congestion, and
 // arterial/expressway tiers (real street networks are not uniform meshes,
-// and the road hierarchy is what both navigation realism and contraction
-// hierarchies depend on at scale). Queries run under ByTime — vehicular
-// navigation routes by travel time.
+// and navigation realism depends on the road hierarchy at scale). Queries
+// run under ByTime — vehicular navigation routes by travel time.
 var routingGraphSizes = []int{10000, 100000, 1000000}
 
 // altRouteGraphSizes are the |V| targets of the alternative-routes pair;
@@ -76,56 +71,17 @@ func graphFor(v int) *benchGraph {
 	return bg
 }
 
-// hierarchyFor builds (once) the contraction hierarchy of the size-v bench
-// graph, recording preprocessing wall time in the hierarchy itself.
-func hierarchyFor(v int) *roadnet.Hierarchy {
-	bg := graphFor(v)
-	bg.chOnce.Do(func() {
-		bg.ch = roadnet.BuildHierarchy(bg.g, routingWeight, 0)
-	})
-	return bg.ch
-}
-
 // ShortestPathEngine measures steady-state point-to-point queries on the
 // ALT engine: warm per-worker scratch, reused path buffer, landmark tables
-// prebuilt, hierarchy detached. This is a configuration the zero-allocs
-// gate applies to.
+// prebuilt. This is the configuration the zero-allocs gate applies to.
 func ShortestPathEngine(v int) func(b *testing.B) {
 	return func(b *testing.B) {
 		bg := graphFor(v)
-		bg.g.DetachHierarchy(routingWeight)
 		bg.g.EnsureLandmarks(routingWeight)
 		sc := bg.g.NewSearchScratch()
 		buf := make([]roadnet.EdgeID, 0, 4*len(bg.ods[0]))
 		// Warm pass over the whole workload: sizes the scratch arrays, heap
 		// backing store, and path buffer to their steady state.
-		for _, od := range bg.ods {
-			var err error
-			if buf, _, err = sc.AppendShortestPath(buf[:0], od[0], od[1], routingWeight); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			od := bg.ods[i%len(bg.ods)]
-			buf, _, _ = sc.AppendShortestPath(buf[:0], od[0], od[1], routingWeight)
-		}
-	}
-}
-
-// ShortestPathCH measures the same steady-state queries with the contraction
-// hierarchy attached: bidirectional upward/downward search plus shortcut
-// unpacking, bit-identical answers. Also held to zero allocations warm.
-func ShortestPathCH(v int) func(b *testing.B) {
-	return func(b *testing.B) {
-		bg := graphFor(v)
-		if err := bg.g.AttachHierarchy(hierarchyFor(v)); err != nil {
-			b.Fatal(err)
-		}
-		defer bg.g.DetachHierarchy(routingWeight)
-		sc := bg.g.NewSearchScratch()
-		buf := make([]roadnet.EdgeID, 0, 4*len(bg.ods[0]))
 		for _, od := range bg.ods {
 			var err error
 			if buf, _, err = sc.AppendShortestPath(buf[:0], od[0], od[1], routingWeight); err != nil {
@@ -256,10 +212,7 @@ func ScenarioBuildPar(m int) func(b *testing.B) {
 // --- Machine-readable report (BENCH_routing.json) ---
 
 // RoutingEntry is one recorded routing benchmark measurement. Size is |V|
-// for query benchmarks and the user count M for scenario builds. The
-// CHPreprocess entries report the one-shot hierarchy build: NsPerOp is the
-// preprocessing wall time, BytesPerOp the resident hierarchy size, and
-// Shortcuts/CoreNodes its shape.
+// for query benchmarks and the user count M for scenario builds.
 type RoutingEntry struct {
 	Name          string  `json:"name"`
 	Size          int     `json:"size"`
@@ -268,8 +221,6 @@ type RoutingEntry struct {
 	AllocsPerOp   int64   `json:"allocs_per_op"`
 	BytesPerOp    int64   `json:"bytes_per_op"`
 	QueriesPerSec float64 `json:"queries_per_sec,omitempty"`
-	Shortcuts     int     `json:"shortcuts,omitempty"`
-	CoreNodes     int     `json:"core_nodes,omitempty"`
 }
 
 // RoutingSpeedup records an engine-vs-reference ratio measured in one run.
@@ -313,10 +264,6 @@ func routingSuite() []routingPair {
 	return []routingPair{
 		{metric: "ShortestPath", queries: true, sizes: routingGraphSizes,
 			engine: ShortestPathEngine, baseline: ShortestPathReference},
-		// CH vs ALT on the same workload: the baseline here is the engine's
-		// own goal-directed search, so the speedup is pure hierarchy gain.
-		{metric: "ShortestPathCH", queries: true, sizes: routingGraphSizes,
-			engine: ShortestPathCH, baseline: ShortestPathEngine},
 		{metric: "AlternativeRoutes", queries: true, sizes: altRouteGraphSizes,
 			engine: AlternativeRoutesEngine, baseline: AlternativeRoutesReference},
 		{metric: "ScenarioBuild", sizes: ScenarioBuildMs,
@@ -329,7 +276,7 @@ func routingSuite() []routingPair {
 // test.benchtime if desired) beforehand.
 func RunRoutingSuite(benchTime string) RoutingReport {
 	rep := RoutingReport{
-		Schema:        "repro/bench-routing/v2",
+		Schema:        "repro/bench-routing/v3",
 		GeneratedUnix: time.Now().Unix(),
 		GoVersion:     runtime.Version(),
 		GOOS:          runtime.GOOS,
@@ -370,20 +317,6 @@ func RunRoutingSuite(benchTime string) RoutingReport {
 				})
 			}
 		}
-	}
-	// One-shot preprocessing entries: the hierarchies were built (and their
-	// wall time recorded) the first time ShortestPathCH touched each size.
-	for _, v := range routingGraphSizes {
-		h := hierarchyFor(v)
-		rep.Entries = append(rep.Entries, RoutingEntry{
-			Name:       fmt.Sprintf("CHPreprocess/%d", v),
-			Size:       v,
-			Iterations: 1,
-			NsPerOp:    h.BuildSeconds() * 1e9,
-			BytesPerOp: h.Bytes(),
-			Shortcuts:  h.NumShortcuts(),
-			CoreNodes:  h.CoreSize(),
-		})
 	}
 	return rep
 }

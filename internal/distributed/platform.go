@@ -185,24 +185,27 @@ func (p *Platform) traceMove(u, oldRoute, newRoute, slot int) float64 {
 	return dPhi
 }
 
-// initMsg builds the Init payload for user u: its recommended routes with
-// platform-weighted costs and the public reward parameters of covered
-// tasks (Algorithm 2 lines 1 and 4).
-func (p *Platform) initMsg(u int, currentRoute int) *wire.Message {
+// initMsg builds the Init payload for the user on conns[li]: its
+// recommended routes with platform-weighted costs and the public reward
+// parameters of covered tasks (Algorithm 2 lines 1 and 4).
+func (p *Platform) initMsg(li int, currentRoute int) *wire.Message {
+	u := p.users[li]
 	user := p.in.Users[u]
 	routes := make([]wire.RouteInfo, len(user.Routes))
-	taskParams := map[int]wire.TaskParam{}
+	// unions[li] lists exactly the distinct tasks the loop below inserts.
+	taskParams := make(map[int]wire.TaskParam, len(p.unions[li]))
 	for ri, r := range user.Routes {
-		info := wire.RouteInfo{
-			DetourCost:     p.in.DetourCost(r),
-			CongestionCost: p.in.CongestionCost(r),
-		}
-		for _, k := range r.Tasks {
-			info.Tasks = append(info.Tasks, int(k))
+		tasks := make([]int, len(r.Tasks))
+		for i, k := range r.Tasks {
+			tasks[i] = int(k)
 			tk := p.in.Tasks[k]
 			taskParams[int(k)] = wire.TaskParam{A: tk.A, Mu: tk.Mu}
 		}
-		routes[ri] = info
+		routes[ri] = wire.RouteInfo{
+			Tasks:          tasks,
+			DetourCost:     p.in.DetourCost(r),
+			CongestionCost: p.in.CongestionCost(r),
+		}
 	}
 	return &wire.Message{
 		Kind: wire.KindInit,
@@ -315,7 +318,7 @@ func (p *Platform) expect(li int, kind wire.Kind, inSlot int, regrant bool) (*wi
 			if p.inited[u] {
 				cur = p.choices[u]
 			}
-			if err := p.send(li, p.initMsg(u, cur)); err != nil {
+			if err := p.send(li, p.initMsg(li, cur)); err != nil {
 				return nil, err
 			}
 			if inSlot >= 1 && p.inited[u] {
@@ -359,7 +362,7 @@ func (p *Platform) runInit() error {
 		if m.Hello.User != p.users[li] {
 			return fmt.Errorf("distributed: conn for user %d claimed by user %d", p.users[li], m.Hello.User)
 		}
-		if err := p.send(li, p.initMsg(p.users[li], -1)); err != nil {
+		if err := p.send(li, p.initMsg(li, -1)); err != nil {
 			return err
 		}
 	}

@@ -55,9 +55,7 @@ type CityConfig struct {
 	// ArterialEvery promotes every k-th grid row and column to an arterial
 	// and every k²-th to an expressway (GridCity only), mirroring the road
 	// tiers of real street networks. Zero (the default) leaves the grid
-	// single-tier. Contraction hierarchies need this structure at scale:
-	// a uniform grid has Θ(√n) treewidth and no witnesses worth pruning
-	// with, which is the known worst case for CH preprocessing.
+	// single-tier.
 	ArterialEvery int
 	// ArterialSpeedup multiplies both the congested and free-flow speed of
 	// arterial roads; expressways get twice this multiplier.

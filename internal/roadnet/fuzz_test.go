@@ -70,79 +70,3 @@ func FuzzShortestPathEquivalence(f *testing.F) {
 		}
 	})
 }
-
-// FuzzCHPathEquivalence drives the contraction-hierarchy engine against the
-// frozen reference Dijkstra on fuzzer-chosen graphs and OD pairs: the
-// preprocessing must be worker-count-invariant, and every answered path must
-// be byte-for-byte identical to the reference — whether the hierarchy
-// answered directly (tie-free jittered graphs) or detected a tie and
-// delegated (unit grids). Graph topology derives deterministically from
-// (seed, rows, cols, jitter), so every crash input replays exactly.
-func FuzzCHPathEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint(4), uint(4), uint(0), uint(3), false, false)
-	f.Add(uint64(7), uint(6), uint(5), uint(17), uint(2), true, true)
-	f.Add(uint64(42), uint(3), uint(8), uint(5), uint(21), false, true)
-	f.Add(uint64(99), uint(8), uint(8), uint(63), uint(0), true, false)
-	f.Fuzz(func(t *testing.T, seed uint64, rows, cols, srcRaw, dstRaw uint, byTime, jitter bool) {
-		rows = 2 + rows%8
-		cols = 2 + cols%8
-		s := rng.New(seed)
-		var g *Graph
-		if jitter {
-			g = randomJitterGrid(t, int(rows), int(cols), s.Child())
-		} else {
-			g = randomUnitGrid(t, int(rows), int(cols), s.Child())
-		}
-		n := g.NumNodes()
-		src := NodeID(int(srcRaw) % n)
-		dst := NodeID(int(dstRaw) % n)
-		w := ByLength
-		if byTime {
-			w = ByTime
-		}
-
-		old := altMinNodes
-		altMinNodes = 1 // force goal-directed search on the delegation path
-		defer func() { altMinNodes = old }()
-
-		h := BuildHierarchy(g, w, 1)
-		h3 := BuildHierarchy(g, w, 3)
-		if len(h.edges) != len(h3.edges) || h.shortcuts != h3.shortcuts {
-			t.Fatalf("worker count changed the hierarchy: %d/%d edges, %d/%d shortcuts",
-				len(h.edges), len(h3.edges), h.shortcuts, h3.shortcuts)
-		}
-		for i := range h.edges {
-			if h.edges[i] != h3.edges[i] {
-				t.Fatalf("worker count changed CH edge %d: %+v vs %+v", i, h.edges[i], h3.edges[i])
-			}
-		}
-		if err := g.AttachHierarchy(h); err != nil {
-			t.Fatal(err)
-		}
-
-		want, err1 := ReferenceShortestPath(g, src, dst, w)
-		got, err2 := g.ShortestPath(src, dst, w)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("error mismatch %d->%d: ref=%v ch=%v", src, dst, err1, err2)
-		}
-		if err1 != nil {
-			return
-		}
-		if !PathEqual(got, want) || got.Length != want.Length || got.Time != want.Time {
-			t.Fatalf("CH path diverges %d->%d w=%d jitter=%v:\n got  %v (%v,%v)\n want %v (%v,%v)",
-				src, dst, w, jitter, got.Edges, got.Length, got.Time, want.Edges, want.Length, want.Time)
-		}
-
-		// The raw bidirectional distance must agree with the reference up to
-		// the tie band even when path extraction delegates.
-		ref := want.Length
-		if w == ByTime {
-			ref = want.Time
-		}
-		if dist, reached, _ := h.RawQuery(src, dst); !reached {
-			t.Fatalf("CH raw query unreachable for a reachable pair %d->%d", src, dst)
-		} else if !chNearEqual(dist, ref) {
-			t.Fatalf("raw CH distance %v vs reference %v for %d->%d", dist, ref, src, dst)
-		}
-	})
-}

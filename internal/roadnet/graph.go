@@ -1,8 +1,10 @@
 // Package roadnet implements the road-network substrate: weighted road
-// graphs, shortest paths (binary-heap Dijkstra), Yen's K-shortest simple
-// paths (the offline stand-in for the Google Maps route recommendation used
-// in the paper's evaluation), synthetic city generators for the three
-// dataset geometries, and the per-route congestion index.
+// graphs, shortest paths (goal-directed ALT A* with a plain-Dijkstra
+// fallback), penalty-based alternative routes (the offline stand-in for the
+// Google Maps route recommendation used in the paper's evaluation), Yen's
+// K-shortest simple paths as a comparison baseline, synthetic city
+// generators for the three dataset geometries, and the per-route congestion
+// index.
 package roadnet
 
 import (
@@ -83,12 +85,6 @@ type graphCaches struct {
 	lmOnce [2]sync.Once // indexed by Weight
 	lm     [2]*Landmarks
 
-	// ch holds the attached contraction hierarchy per weight (nil when
-	// none). Living on the cache struct means any mutation detaches it
-	// along with every other derived structure, so a stale hierarchy can
-	// never answer queries on a changed graph.
-	ch [2]atomic.Pointer[Hierarchy]
-
 	scratch sync.Pool // *SearchScratch
 }
 
@@ -130,43 +126,6 @@ func (g *Graph) Reserve(nodes, edges int) {
 		copy(grown, g.Edges)
 		g.Edges = grown
 	}
-}
-
-// AttachHierarchy installs a contraction hierarchy built by BuildHierarchy
-// over this graph. Plain (un-banned, un-penalized) engine queries under the
-// hierarchy's weight then run on it automatically; every other query mode,
-// and any query whose exact-cost tie the hierarchy cannot canonically
-// resolve, falls back to the ALT/Dijkstra core. Mutating the graph detaches
-// the hierarchy.
-func (g *Graph) AttachHierarchy(h *Hierarchy) error {
-	if h == nil {
-		return fmt.Errorf("roadnet: nil hierarchy")
-	}
-	if h.n != g.NumNodes() {
-		return fmt.Errorf("roadnet: hierarchy built for %d nodes, graph has %d", h.n, g.NumNodes())
-	}
-	g.cachesFor().ch[h.w].Store(h)
-	return nil
-}
-
-// DetachHierarchy removes the attached hierarchy for w, if any.
-func (g *Graph) DetachHierarchy(w Weight) {
-	if c := g.caches.Load(); c != nil {
-		c.ch[w].Store(nil)
-	}
-}
-
-// AttachedHierarchy returns the hierarchy currently attached for w, or nil.
-func (g *Graph) AttachedHierarchy(w Weight) *Hierarchy { return g.hierarchyFor(w) }
-
-// hierarchyFor is the query-path accessor: two atomic loads, no cache
-// construction.
-func (g *Graph) hierarchyFor(w Weight) *Hierarchy {
-	c := g.caches.Load()
-	if c == nil {
-		return nil
-	}
-	return c.ch[w].Load()
 }
 
 // AddNode appends a node at the given position and returns its ID.

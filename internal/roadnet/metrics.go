@@ -21,12 +21,4 @@ var (
 	// landmarkPruneRatio is the fraction of the graph the last goal-directed
 	// query did NOT settle — the work A* saved over plain Dijkstra.
 	landmarkPruneRatio = telemetry.Default().Gauge("roadnet_landmark_prune_ratio")
-	// chBuilds counts contraction-hierarchy preprocessings.
-	chBuilds = telemetry.Default().Counter("roadnet_ch_builds_total")
-	// chQueries counts engine queries attempted on an attached hierarchy;
-	// chFallbacks counts the subset that observed an exact-cost tie and were
-	// delegated to the canonical ALT/Dijkstra engine to preserve the
-	// lowest-EdgeID path contract.
-	chQueries   = telemetry.Default().Counter("roadnet_ch_queries_total")
-	chFallbacks = telemetry.Default().Counter("roadnet_ch_tie_fallbacks_total")
 )

@@ -50,10 +50,6 @@ type SearchScratch struct {
 	usesGen []uint32
 	useGen  uint32
 
-	// Bidirectional contraction-hierarchy query state, allocated on first
-	// use when a hierarchy is attached (ch_query.go).
-	chs *chScratch
-
 	settled int
 }
 
@@ -249,14 +245,6 @@ type searchOpts struct {
 	penalized   bool // cost = Length·(1 + penalty·uses[e]); w is ignored
 	penalty     float64
 	noALT       bool // force the plain-Dijkstra fallback
-	noCH        bool // skip an attached contraction hierarchy
-}
-
-// chEligible reports whether the query mode can run on an attached
-// hierarchy: only plain queries qualify — bans and penalties change the
-// metric away from the preprocessed one, so they always use the exact core.
-func (o searchOpts) chEligible() bool {
-	return o.bannedEdges == nil && o.bannedNodes == nil && !o.penalized && !o.noCH
 }
 
 // run executes one goal-directed search and leaves the labels in the
@@ -364,20 +352,6 @@ func (s *SearchScratch) AppendShortestPath(buf []EdgeID, src, dst NodeID, w Weig
 	if err := s.checkEndpoints(src, dst); err != nil {
 		return buf, 0, err
 	}
-	if src != dst {
-		if h := s.g.hierarchyFor(w); h != nil {
-			chQueries.Inc()
-			res, cost, st := s.chQuery(h, buf, src, dst, w)
-			switch st {
-			case chHit:
-				return res, cost, nil
-			case chUnreachable:
-				return buf, 0, fmt.Errorf("roadnet: node %d unreachable from %d", dst, src)
-			}
-			// chTie: delegate to the canonical core below.
-			chFallbacks.Inc()
-		}
-	}
 	if !s.run(src, dst, searchOpts{w: w}) {
 		return buf, 0, fmt.Errorf("roadnet: node %d unreachable from %d", dst, src)
 	}
@@ -397,19 +371,6 @@ func (s *SearchScratch) ShortestPath(src, dst NodeID, w Weight) (Path, error) {
 func (s *SearchScratch) shortestPath(src, dst NodeID, o searchOpts) (Path, error) {
 	if err := s.checkEndpoints(src, dst); err != nil {
 		return Path{}, err
-	}
-	if src != dst && o.chEligible() {
-		if h := s.g.hierarchyFor(o.w); h != nil {
-			chQueries.Inc()
-			edges, _, st := s.chQuery(h, make([]EdgeID, 0, 16), src, dst, o.w)
-			switch st {
-			case chHit:
-				return s.g.NewPath(edges)
-			case chUnreachable:
-				return Path{}, fmt.Errorf("roadnet: node %d unreachable from %d", dst, src)
-			}
-			chFallbacks.Inc()
-		}
 	}
 	if !s.run(src, dst, o) {
 		return Path{}, fmt.Errorf("roadnet: node %d unreachable from %d", dst, src)

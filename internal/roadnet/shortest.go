@@ -97,11 +97,13 @@ func (g *Graph) AllShortestDists(src NodeID, w Weight) []float64 {
 }
 
 // KShortestPaths returns up to k loopless shortest paths from src to dst in
-// increasing cost order, using Yen's algorithm. This is the stand-in for the
-// Google Maps API route recommendation of §5.1: the first path is the
+// increasing cost order, using Yen's algorithm: the first path is the
 // shortest route, and the alternatives are the next-best simple detours. It
-// returns fewer than k paths when the graph does not contain that many
-// simple paths. An error is returned only if no path exists at all.
+// is the comparison baseline for AlternativeRoutes, the route recommender
+// the scenario builder uses (on grids Yen returns equal-length permutations
+// of one corridor). It returns fewer than k paths when the graph does not
+// contain that many simple paths. An error is returned only if no path
+// exists at all.
 func (g *Graph) KShortestPaths(src, dst NodeID, k int, w Weight) ([]Path, error) {
 	if k <= 0 {
 		return nil, nil
