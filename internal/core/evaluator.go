@@ -1,6 +1,6 @@
 package core
 
-import "math/bits"
+import "repro/internal/task"
 
 // evalState answers delta probes (ProfitIf, ProfitDeltaIf, AppendMoveTasks,
 // best/better response computation) against a profile. A probe reads only
@@ -39,10 +39,8 @@ func (e *evalState) profitIf(i UserID, c int) float64 {
 }
 
 // profitDeltaIf is ProfitDeltaIf: the profit change of the unilateral move
-// i→c, evaluated on the symmetric difference of the two routes only. The
-// clear bits of the overlap masks name the tasks user i would join (in
-// candidate order) and leave (in current order); the share caches supply
-// w_k(n_k+1)/(n_k+1) and w_k(n_k)/n_k without a division.
+// i→c, evaluated by MoveDelta on the symmetric difference of the two
+// routes over the profile's share caches.
 func (e *evalState) profitDeltaIf(i UserID, c int) float64 {
 	p := e.p
 	u := &p.inst.Users[int(i)]
@@ -52,20 +50,11 @@ func (e *evalState) profitDeltaIf(i UserID, c int) float64 {
 	}
 	cur, cand := &u.Routes[old], &u.Routes[c]
 	om := e.masks()
-	var d float64
-	for w, word := range om.mask(i, old, c, len(cand.Tasks)) {
-		for x := ^word; x != 0; x &= x - 1 { // k ∈ L'\L: user i would join
-			d += p.shareJoin[cand.Tasks[w<<6|bits.TrailingZeros64(x)]]
-		}
-	}
-	for w, word := range om.mask(i, c, old, len(cur.Tasks)) {
-		for x := ^word; x != 0; x &= x - 1 { // k ∈ L\L': user i would leave
-			d -= p.shareNow[cur.Tasks[w<<6|bits.TrailingZeros64(x)]]
-		}
-	}
-	return u.Alpha*d -
-		u.Beta*(p.inst.DetourCost(*cand)-p.inst.DetourCost(*cur)) -
-		u.Gamma*(p.inst.CongestionCost(*cand)-p.inst.CongestionCost(*cur))
+	return MoveDelta(u.Alpha, u.Beta, u.Gamma,
+		MoveRoute[task.ID]{cur.Tasks, p.inst.DetourCost(*cur), p.inst.CongestionCost(*cur)},
+		MoveRoute[task.ID]{cand.Tasks, p.inst.DetourCost(*cand), p.inst.CongestionCost(*cand)},
+		om.mask(i, old, c, len(cand.Tasks)), om.mask(i, c, old, len(cur.Tasks)),
+		p.shareNow, p.shareJoin)
 }
 
 func (e *evalState) betterResponses(i UserID) []int {
@@ -96,24 +85,12 @@ func (e *evalState) hasBetterResponse(i UserID) bool {
 }
 
 func (e *evalState) bestResponseSet(i UserID) []int {
-	p := e.p
-	var best float64 // best improvement so far; 0 = the current choice
-	var out []int
-	for c := range p.inst.Users[int(i)].Routes {
-		if c == p.choices[int(i)] {
-			continue
-		}
-		d := e.profitDeltaIf(i, c)
-		switch {
-		case d > best+Eps:
-			best = d
-			out = out[:0]
-			out = append(out, c)
-		case d > Eps && d >= best-Eps && len(out) > 0:
-			out = append(out, c)
-		}
+	var buf [8]float64
+	dp := buf[:0]
+	for c := range e.p.inst.Users[int(i)].Routes {
+		dp = append(dp, e.profitDeltaIf(i, c))
 	}
-	return out
+	return BestResponseSetOf[int](nil, dp, e.p.choices[int(i)])
 }
 
 // gapOf returns the largest profit improvement user i could obtain by a
@@ -139,15 +116,7 @@ func (e *evalState) appendMoveTasks(dst []int, i UserID, c int) []int {
 	u := &p.inst.Users[int(i)]
 	old := p.choices[int(i)]
 	cur, cand := u.Routes[old].Tasks, u.Routes[c].Tasks
-	for _, k := range cur {
-		dst = append(dst, int(k))
-	}
-	for w, word := range e.masks().mask(i, old, c, len(cand)) {
-		for x := ^word; x != 0; x &= x - 1 {
-			dst = append(dst, int(cand[w<<6|bits.TrailingZeros64(x)]))
-		}
-	}
-	return dst
+	return AppendMoveTasksOf(dst, cur, cand, e.masks().mask(i, old, c, len(cand)))
 }
 
 // Evaluator answers best-response probes against a profile through its own
@@ -171,18 +140,5 @@ func (p *Profile) NewEvaluator() *Evaluator {
 	return ev
 }
 
-// BestResponseSet is Profile.BestResponseSet on the evaluator's probe state.
-func (ev *Evaluator) BestResponseSet(i UserID) []int { return ev.e.bestResponseSet(i) }
-
-// BetterResponses is Profile.BetterResponses on the evaluator's probe state.
-func (ev *Evaluator) BetterResponses(i UserID) []int { return ev.e.betterResponses(i) }
-
 // ProfitDeltaIf is Profile.ProfitDeltaIf on the evaluator's probe state.
 func (ev *Evaluator) ProfitDeltaIf(i UserID, c int) float64 { return ev.e.profitDeltaIf(i, c) }
-
-// ProfitIf is Profile.ProfitIf on the evaluator's probe state.
-func (ev *Evaluator) ProfitIf(i UserID, c int) float64 { return ev.e.profitIf(i, c) }
-
-// GapOf returns user i's largest unilateral improvement (the per-user term
-// of NashGap).
-func (ev *Evaluator) GapOf(i UserID) float64 { return ev.e.gapOf(i) }

@@ -5,16 +5,12 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/task"
 	"repro/internal/tracing"
 	"repro/internal/wire"
 )
-
-// eps is the strict-improvement tolerance; it must match core.Eps so the
-// distributed agents and the sequential engine agree on what counts as a
-// better response.
-const eps = 1e-9
 
 // AgentConfig configures one user agent. The preference weights α, β, γ are
 // the user's own input (Algorithm 1 line 1) and are never sent to the
@@ -45,25 +41,31 @@ type AgentConfig struct {
 // participant counts received from the platform.
 //
 // Every Init rebuilds a dense view of that game. The tasks its routes
-// cover are sorted into taskIDs, and every other per-task slice (params,
-// n, onCur) is indexed like it, so evaluating a best response is slice
-// arithmetic: no map lookups and no allocation.
+// cover are sorted into taskIDs, every other per-task slice (params, n and
+// the share caches) is indexed like it, and the routes' overlap masks are
+// built over those local indices. A best response then runs core's move
+// kernel (core.MoveDelta) and Δ_i rule on that view, as the engine's
+// profile does: no map lookups and no allocation.
 type Agent struct {
 	cfg  AgentConfig
 	conn Conn
 	rnd  *rng.Stream
 
-	routes  []agentRoute
+	routes  []core.MoveRoute[int32] // task entries are local indices
+	masks   core.RouteMasks
 	taskIDs []int
 	params  []wire.TaskParam
-	// n holds the latest SlotInfo's participant counts. onCur marks the
-	// tasks of routes[current]; it changes only when current does.
-	n     []int
-	onCur []bool
-	// profits and delta are bestResponseSet's scratch: the per-route
-	// profits of the last evaluation and its Δ_i.
-	profits []float64
-	delta   []int
+	// n holds the latest SlotInfo's participant counts (-1 before the
+	// first SlotInfo); shareNow and shareJoin hold the shares
+	// core.MoveShares gives at those counts, refreshed only where a count
+	// changed.
+	n                   []int
+	shareNow, shareJoin []float64
+	// dp, delta and b are the per-slot scratch: ΔP_i of every route, Δ_i,
+	// and B_i of the proposed move in local indices.
+	dp    []float64
+	delta []int
+	b     []int32
 
 	current  int
 	proposed int
@@ -71,14 +73,6 @@ type Agent struct {
 	// echoed onto every outgoing reply so the platform's slot trace spans
 	// the round trip.
 	traceCtx tracing.SpanContext
-}
-
-// agentRoute is one recommended route in the agent's dense view.
-type agentRoute struct {
-	// tasks are local task indices in the route's order, so reward sums
-	// add up in the order the route lists them.
-	tasks              []int32
-	detour, congestion float64
 }
 
 // NewAgent creates an agent speaking over conn. The connection is wrapped
@@ -185,7 +179,7 @@ func (a *Agent) handleInit(in *wire.Init) error {
 		if in.CurrentRoute >= len(a.routes) {
 			return fmt.Errorf("agent %d: resumed route %d out of range", a.cfg.User, in.CurrentRoute)
 		}
-		a.setCurrent(in.CurrentRoute)
+		a.current = in.CurrentRoute
 		return nil
 	}
 	if decided {
@@ -194,7 +188,6 @@ func (a *Agent) handleInit(in *wire.Init) error {
 		// Decision). Re-report the decision already made instead of sampling
 		// a new one, so agent and platform never diverge; the platform drops
 		// whichever copy arrives second as stale.
-		a.setCurrent(a.current)
 		return a.send(&wire.Message{
 			Kind:     wire.KindDecision,
 			Decision: &wire.Decision{Slot: 0, Route: a.current},
@@ -202,9 +195,9 @@ func (a *Agent) handleInit(in *wire.Init) error {
 	}
 	// Algorithm 1 line 3: initialize by randomly selecting a route.
 	if a.cfg.Deterministic {
-		a.setCurrent(0)
+		a.current = 0
 	} else {
-		a.setCurrent(a.rnd.Intn(len(a.routes)))
+		a.current = a.rnd.Intn(len(a.routes))
 	}
 	// Line 4: report the initial decision.
 	return a.send(&wire.Message{
@@ -215,8 +208,8 @@ func (a *Agent) handleInit(in *wire.Init) error {
 
 // buildView rebuilds the dense view from an Init. taskIDs is the sorted
 // set of tasks the routes cover. A route task sent without parameters
-// gets zero ones, whose share is 0. The counts read zero until the next
-// SlotInfo. A route that lists a task twice is rejected, as
+// gets zero ones, whose share is 0. The share caches are filled by the
+// next SlotInfo. A route that lists a task twice is rejected, as
 // core.Instance.Validate rejects it on the platform side.
 func (a *Agent) buildView(in *wire.Init) error {
 	total := 0
@@ -229,10 +222,10 @@ func (a *Agent) buildView(in *wire.Init) error {
 	// is usually a no-op check.
 	order := make([]int32, total)
 	walk := make([][]int32, len(in.Routes))
-	a.routes = make([]agentRoute, len(in.Routes))
+	a.routes = make([]core.MoveRoute[int32], len(in.Routes))
 	for c, r := range in.Routes {
 		n := len(r.Tasks)
-		a.routes[c] = agentRoute{tasks: locals[:n:n], detour: r.DetourCost, congestion: r.CongestionCost}
+		a.routes[c] = core.MoveRoute[int32]{Tasks: locals[:n:n], Detour: r.DetourCost, Congestion: r.CongestionCost}
 		locals = locals[n:]
 		w := order[:n:n]
 		order = order[n:]
@@ -262,7 +255,7 @@ func (a *Agent) buildView(in *wire.Init) error {
 				if len(w) > 1 && r.Tasks[w[1]] == k {
 					return fmt.Errorf("agent %d: route %d covers task %d twice", a.cfg.User, c, k)
 				}
-				a.routes[c].tasks[w[0]] = int32(len(ids))
+				a.routes[c].Tasks[w[0]] = int32(len(ids))
 				walk[c] = w[1:]
 			}
 		}
@@ -273,72 +266,46 @@ func (a *Agent) buildView(in *wire.Init) error {
 	for i, k := range ids {
 		a.params[i] = in.Tasks[k]
 	}
+	for c := range walk {
+		walk[c] = a.routes[c].Tasks
+	}
+	a.masks = core.NewRouteMasks(walk, len(ids))
 	a.n = make([]int, len(ids))
-	a.onCur = make([]bool, len(ids))
-	a.profits = make([]float64, len(in.Routes))
+	for i := range a.n {
+		a.n[i] = -1
+	}
+	a.shareNow = make([]float64, len(ids))
+	a.shareJoin = make([]float64, len(ids))
+	a.dp = make([]float64, len(in.Routes))
 	return nil
 }
 
-// setCurrent makes c the current route and re-marks its tasks.
-func (a *Agent) setCurrent(c int) {
-	clear(a.onCur)
-	for _, i := range a.routes[c].tasks {
-		a.onCur[i] = true
-	}
-	a.current = c
-}
-
-// loadCounts copies a SlotInfo's participant counts into the dense view;
-// a task the SlotInfo omits counts zero.
+// loadCounts copies a SlotInfo's participant counts into the dense view
+// and refreshes the share caches of the tasks whose count changed; a task
+// the SlotInfo omits counts zero.
 func (a *Agent) loadCounts(si *wire.SlotInfo) {
 	for i, k := range a.taskIDs {
-		a.n[i] = si.Counts[k]
-	}
-}
-
-// profitOf evaluates the agent's profit (Eq. 2) for route index c given the
-// latest counts, adjusting for the agent's own membership exactly as the
-// Theorem-2 proof does: tasks already on the current route keep their
-// count; tasks newly joined gain one participant.
-func (a *Agent) profitOf(c int) float64 {
-	r := &a.routes[c]
-	var reward float64
-	for _, i := range r.tasks {
-		n := a.n[i]
-		if !a.onCur[i] {
-			n++
+		if n := si.Counts[k]; n != a.n[i] {
+			a.n[i] = n
+			p := a.params[i]
+			a.shareNow[i], a.shareJoin[i] = core.MoveShares(task.Task{A: p.A, Mu: p.Mu}, n)
 		}
-		p := a.params[i]
-		reward += task.Task{A: p.A, Mu: p.Mu}.Share(n)
 	}
-	return a.cfg.Alpha*reward - a.cfg.Beta*r.detour - a.cfg.Gamma*r.congestion
 }
 
-// bestResponseSet computes Δ_i locally (Algorithm 1 line 10), recording
-// every route's profit in a.profits. The returned slice is scratch, valid
+// bestResponseSet computes Δ_i locally (Algorithm 1 line 10) with core's
+// move kernel and Δ_i rule, recording every route's ΔP_i in a.dp (the
+// current route's, 0, is not read). The returned slice is scratch, valid
 // until the next call.
 func (a *Agent) bestResponseSet() []int {
-	cur := a.profitOf(a.current)
-	a.profits[a.current] = cur
-	best := cur
-	out := a.delta[:0]
-	for c := range a.routes {
-		if c == a.current {
-			continue
-		}
-		v := a.profitOf(c)
-		a.profits[c] = v
-		switch {
-		case v > best+eps:
-			best = v
-			out = out[:0]
-			out = append(out, c)
-		case v > cur+eps && v >= best-eps && len(out) > 0:
-			out = append(out, c)
-		}
+	cur := a.routes[a.current]
+	for c, r := range a.routes {
+		a.dp[c] = core.MoveDelta(a.cfg.Alpha, a.cfg.Beta, a.cfg.Gamma, cur, r,
+			a.masks.Mask(a.current, c, len(r.Tasks)), a.masks.Mask(c, a.current, len(cur.Tasks)),
+			a.shareNow, a.shareJoin)
 	}
-	a.delta = out
-	return out
+	a.delta = core.BestResponseSetOf(a.delta, a.dp, a.current)
+	return a.delta
 }
 
 func (a *Agent) handleSlot(si *wire.SlotInfo) error {
@@ -357,35 +324,20 @@ func (a *Agent) handleSlot(si *wire.SlotInfo) error {
 		}
 		req.HasUpdate = true
 		req.Route = a.proposed
-		req.Tau = (a.profits[a.proposed] - a.profits[a.current]) / a.cfg.Alpha
-		req.B = a.moveTasks(a.proposed)
+		// τ_i = ΔP_i/α_i (Eq. 11), the value and the division of
+		// core.Profile.Tau. B_i (Algorithm 3 input) is fresh: the platform
+		// keeps it.
+		req.Tau = a.dp[a.proposed] / a.cfg.Alpha
+		cur, next := a.routes[a.current].Tasks, a.routes[a.proposed].Tasks
+		a.b = core.AppendMoveTasksOf(a.b[:0], cur, next, a.masks.Mask(a.current, a.proposed, len(next)))
+		req.B = make([]int, len(a.b))
+		for j, i := range a.b {
+			req.B[j] = a.taskIDs[i]
+		}
 	} else {
 		a.proposed = -1
 	}
 	return a.send(&wire.Message{Kind: wire.KindRequest, Request: req})
-}
-
-// moveTasks returns B_i: the union of tasks on the current and proposed
-// routes (Algorithm 3 input), current route first. The slice is fresh:
-// the platform keeps it.
-func (a *Agent) moveTasks(c int) []int {
-	cur, next := a.routes[a.current].tasks, a.routes[c].tasks
-	size := len(cur)
-	for _, i := range next {
-		if !a.onCur[i] {
-			size++
-		}
-	}
-	out := make([]int, 0, size)
-	for _, i := range cur {
-		out = append(out, a.taskIDs[i])
-	}
-	for _, i := range next {
-		if !a.onCur[i] {
-			out = append(out, a.taskIDs[i])
-		}
-	}
-	return out
 }
 
 func (a *Agent) handleGrant(g *wire.Grant) error {
@@ -401,7 +353,7 @@ func (a *Agent) handleGrant(g *wire.Grant) error {
 		})
 	}
 	// Algorithm 1 lines 14–15: adopt the proposed route and report it.
-	a.setCurrent(a.proposed)
+	a.current = a.proposed
 	a.proposed = -1
 	return a.send(&wire.Message{
 		Kind:     wire.KindDecision,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -14,7 +15,10 @@ import (
 // oracleAgent is the map-based best-response evaluation the agent's dense
 // view replaced, kept as a test oracle. It reads the Init and SlotInfo
 // payloads directly: a membership map of the current route per probe, a
-// map lookup per task, and the Eq. 1/2 share written out by hand.
+// map lookup per task, and the Eq. 1/2 share written out by hand. Its Δ_i
+// and B come from absolute profits and set membership; its move gains
+// (deltaOf) run core's move kernel over the payloads' own task IDs, so a
+// bit-exact comparison checks the agent's dense view, not its arithmetic.
 type oracleAgent struct {
 	alpha, beta, gamma float64
 	routes             []wire.RouteInfo
@@ -65,15 +69,41 @@ func (o *oracleAgent) bestResponseSet() []int {
 		}
 		v := o.profitOf(c)
 		switch {
-		case v > best+eps:
+		case v > best+core.Eps:
 			best = v
 			out = out[:0]
 			out = append(out, c)
-		case v > cur+eps && v >= best-eps && len(out) > 0:
+		case v > cur+core.Eps && v >= best-core.Eps && len(out) > 0:
 			out = append(out, c)
 		}
 	}
 	return out
+}
+
+// deltaOf returns ΔP_i of the move to route c, evaluated by core.MoveDelta
+// on a view indexed by task ID: shares from the oracle's own share, masks
+// built over the routes' task IDs.
+func (o *oracleAgent) deltaOf(c int) float64 {
+	size := 0
+	tasks := make([][]int, len(o.routes))
+	for r, ri := range o.routes {
+		tasks[r] = ri.Tasks
+		for _, k := range ri.Tasks {
+			size = max(size, k+1)
+		}
+	}
+	now, join := make([]float64, size), make([]float64, size)
+	for k := range size {
+		now[k], join[k] = o.share(k, o.counts[k]), o.share(k, o.counts[k]+1)
+	}
+	m := core.NewRouteMasks(tasks, size)
+	route := func(r int) core.MoveRoute[int] {
+		ri := o.routes[r]
+		return core.MoveRoute[int]{Tasks: ri.Tasks, Detour: ri.DetourCost, Congestion: ri.CongestionCost}
+	}
+	cur := o.current
+	return core.MoveDelta(o.alpha, o.beta, o.gamma, route(cur), route(c),
+		m.Mask(cur, c, len(tasks[c])), m.Mask(c, cur, len(tasks[cur])), now, join)
 }
 
 // moveTasks returns B_i: the union of tasks on the current and proposed
@@ -154,8 +184,8 @@ func randomSlotInfo(s *rng.Stream, in *wire.Init, slot int) *wire.SlotInfo {
 
 // TestAgentMatchesOracle drives the dense agent and the map-based oracle
 // through the same randomized slot sequences, grants, and resume Inits,
-// and requires bit-identical profits and τ, the same Δ_i, and the same B
-// in the same order.
+// and requires bit-identical move gains and τ (against core's kernel on the
+// oracle's view), the same Δ_i, and the same B in the same order.
 func TestAgentMatchesOracle(t *testing.T) {
 	s := rng.New(7)
 	for inst := 0; inst < 300; inst++ {
@@ -180,9 +210,12 @@ func TestAgentMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for c := range init.Routes {
-				got, want := a.profitOf(c), o.profitOf(c)
+				if c == o.current {
+					continue
+				}
+				got, want := a.dp[c], o.deltaOf(c)
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("instance %d slot %d: profit of route %d = %v, oracle %v", inst, slot, c, got, want)
+					t.Fatalf("instance %d slot %d: ΔP of route %d = %v, kernel %v", inst, slot, c, got, want)
 				}
 			}
 			wantDelta := o.bestResponseSet()
@@ -194,7 +227,7 @@ func TestAgentMatchesOracle(t *testing.T) {
 				t.Fatalf("instance %d slot %d: HasUpdate %v with oracle Δ %v", inst, slot, req.HasUpdate, wantDelta)
 			}
 			if req.HasUpdate {
-				wantTau := (o.profitOf(req.Route) - o.profitOf(o.current)) / cfg.Alpha
+				wantTau := o.deltaOf(req.Route) / cfg.Alpha
 				if math.Float64bits(req.Tau) != math.Float64bits(wantTau) {
 					t.Fatalf("instance %d slot %d: τ = %v, oracle %v", inst, slot, req.Tau, wantTau)
 				}

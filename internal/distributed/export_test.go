@@ -1,6 +1,9 @@
 package distributed
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/wire"
+)
 
 // TaskUnions exposes taskUnions to the external tests.
 func TaskUnions(in *core.Instance, users []int) [][]int32 { return taskUnions(in, users) }
@@ -14,4 +17,22 @@ func AgentTaskIDs(in *core.Instance, u int) ([]int, error) {
 		return nil, err
 	}
 	return a.taskIDs, nil
+}
+
+// AgentProbe hands a fresh agent for user u of in the Init the platform
+// sends a user resuming on route cur, then the SlotInfo it sends at the
+// per-task counts, and returns the agent's ΔP_i per route, its Δ_i, and
+// the Request it answered with.
+func AgentProbe(in *core.Instance, u, cur int, counts []int, seed uint64) (dp []float64, delta []int, req *wire.Request, err error) {
+	p := &Platform{in: in, users: []int{u}, unions: taskUnions(in, []int{u})}
+	usr := in.Users[u]
+	conn := &sinkConn{}
+	a := NewAgent(conn, AgentConfig{User: u, Alpha: usr.Alpha, Beta: usr.Beta, Gamma: usr.Gamma, Seed: seed})
+	if err := a.handleInit(p.initMsg(0, cur).Init); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := a.handleSlot(slotInfoMsg(1, p.unions[0], counts).SlotInfo); err != nil {
+		return nil, nil, nil, err
+	}
+	return a.dp, a.delta, conn.last.Request, nil
 }

@@ -296,12 +296,11 @@ func (c *collector) evaluators(n int) []*core.Evaluator {
 }
 
 // probeUser caches ΔP_i(c) for every route c of user i, and Δ_i computed
-// from them exactly as core's BestResponseSet does.
+// from them by core's Δ_i rule, as core's BestResponseSet does.
 func (c *collector) probeUser(ev *core.Evaluator, i int32) {
-	lo, cur := c.off[i], int(c.choice[i])
-	dp := c.dp[lo:c.off[i+1]]
-	delta := c.delta[lo:lo]
-	best, gap := 0.0, math.Inf(-1)
+	lo, hi, cur := c.off[i], c.off[i+1], int(c.choice[i])
+	dp := c.dp[lo:hi]
+	gap := math.Inf(-1)
 	for r := range dp {
 		if r == cur {
 			dp[r] = 0
@@ -310,14 +309,8 @@ func (c *collector) probeUser(ev *core.Evaluator, i int32) {
 		d := ev.ProfitDeltaIf(core.UserID(i), r)
 		dp[r] = d
 		gap = max(gap, d) // NaN sticks, and a NaN gap never skips
-		switch {
-		case d > best+core.Eps:
-			best = d
-			delta = append(delta[:0], int32(r))
-		case d > core.Eps && d >= best-core.Eps && len(delta) > 0:
-			delta = append(delta, int32(r))
-		}
 	}
+	delta := core.BestResponseSetOf(c.delta[lo:lo:hi], dp, cur)
 	c.nd[i] = int32(len(delta))
 	c.gap[i] = gap
 	c.drift[i] = 0

@@ -21,12 +21,7 @@ func Greedy(in *core.Instance) (Solution, error) {
 	for i, u := range in.Users {
 		bestC, bestV := 0, math.Inf(-1)
 		for c, r := range u.Routes {
-			var reward float64
-			for _, k := range r.Tasks {
-				reward += in.Tasks[k].Share(nk[k] + 1)
-			}
-			v := u.Alpha*reward - u.Beta*in.DetourCost(r) - u.Gamma*in.CongestionCost(r)
-			if v > bestV {
+			if v := joinProfit(in, nk, u, r); v > bestV {
 				bestC, bestV = c, v
 			}
 		}

@@ -69,43 +69,21 @@ func (b *bb) init() {
 		b.choices[i] = -1
 	}
 	b.bestTotal = math.Inf(-1)
-	// Seed the incumbent with a greedy sequential best-response pass: each
-	// user picks the route maximizing its own profit given earlier picks.
-	// This is cheap and gives strong pruning from the start.
-	greedy := make([]int, len(in.Users))
-	nk := make([]int, len(in.Tasks))
-	for i, u := range in.Users {
-		bestC, bestV := 0, math.Inf(-1)
-		for c, r := range u.Routes {
-			v := b.routeProfitWith(nk, u, r, nil)
-			if v > bestV {
-				bestC, bestV = c, v
-			}
-		}
-		greedy[i] = bestC
-		for _, k := range u.Routes[bestC].Tasks {
-			nk[k]++
-		}
-	}
-	if p, err := core.NewProfile(in, greedy); err == nil {
-		b.bestTotal = p.TotalProfit()
-		b.bestChoices = append([]int(nil), greedy...)
+	// Seed the incumbent with the greedy sequential pass: it is cheap and
+	// gives strong pruning from the start.
+	if g, err := Greedy(in); err == nil {
+		b.bestTotal, b.bestChoices = g.Total, g.Choices
 	}
 }
 
-// routeProfitWith computes user u's profit for route r if it were added to
-// counts nk (u not yet counted). If joinDelta is non-nil, counts are taken
-// as nk[k]+joinDelta[k].
-func (b *bb) routeProfitWith(nk []int, u core.User, r core.Route, joinDelta []int) float64 {
+// joinProfit computes user u's profit for route r if it were added to
+// counts nk (u not yet counted).
+func joinProfit(in *core.Instance, nk []int, u core.User, r core.Route) float64 {
 	var reward float64
 	for _, k := range r.Tasks {
-		n := nk[k] + 1
-		if joinDelta != nil {
-			n += joinDelta[k]
-		}
-		reward += b.in.Tasks[k].Share(n)
+		reward += in.Tasks[k].Share(nk[k] + 1)
 	}
-	return u.Alpha*reward - u.Beta*b.in.DetourCost(r) - u.Gamma*b.in.CongestionCost(r)
+	return u.Alpha*reward - u.Beta*in.DetourCost(r) - u.Gamma*in.CongestionCost(r)
 }
 
 // partialTotal returns the total profit of users [0,upto) evaluated at the
@@ -139,7 +117,7 @@ func (b *bb) ub(depth int) float64 {
 		u := b.in.Users[i]
 		best := math.Inf(-1)
 		for _, r := range u.Routes {
-			if v := b.routeProfitWith(b.nk, u, r, nil); v > best {
+			if v := joinProfit(b.in, b.nk, u, r); v > best {
 				best = v
 			}
 		}
@@ -175,7 +153,7 @@ func (b *bb) dfs(depth int) {
 	vals := make([]float64, len(u.Routes))
 	for c := range u.Routes {
 		order[c] = c
-		vals[c] = b.routeProfitWith(b.nk, u, u.Routes[c], nil)
+		vals[c] = joinProfit(in, b.nk, u, u.Routes[c])
 	}
 	for i := 1; i < len(order); i++ {
 		for j := i; j > 0 && vals[order[j]] > vals[order[j-1]]; j-- {
