@@ -46,23 +46,24 @@ soak-multinode:
 	$(GO) test -race -count=5 -timeout 600s ./internal/distributed/e2e
 
 # Short fuzz pass over the wire codec, the game-state evaluator, the agent's
-# best response against it, the routing engine and the scenario builder's
-# coverage query (corpus + a few seconds of mutation per target). Extend
-# -fuzztime locally for deeper exploration.
+# best response against it, the PUU selection, the routing engine and the
+# scenario builder's coverage query (corpus + a few seconds of mutation per
+# target). Extend -fuzztime locally for deeper exploration.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzBinaryDecode -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzMuxFrames -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzProfileMoves -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzSelectPUU -fuzztime 5s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzAgentMatchesCore -fuzztime 5s ./internal/distributed
 	$(GO) test -run '^$$' -fuzz FuzzShortestPathEquivalence -fuzztime 5s ./internal/roadnet
 	$(GO) test -run '^$$' -fuzz FuzzWithinRadiusOfPolyline -fuzztime 5s ./internal/spatial
 
 # Full local CI gate: build, vet, tests, race (including the chaos suite),
-# the request collector's differential and parallel-probe tests repeated
-# under the race detector (its probe fan-out writes per-user cache slots
-# from several workers), short fuzz passes, the round benchmark's own
+# the request collector's differential and collect-mode tests repeated
+# under the race detector (its sharded pass writes per-user slots from
+# several workers), short fuzz passes, the round benchmark's own
 # tests (a nested module the root ./... never reaches), and smoke runs of
 # the benchmark suites (short benchtime: checks the harnesses and the
 # speedup/zero-alloc gates, not timings).

@@ -26,39 +26,60 @@ type MoveRoute[K Index] struct {
 // bit-identical to a profile's share caches at that count.
 func MoveShares(t task.Task, n int) (now, join float64) { return t.Share(n), t.Share(n + 1) }
 
-// MoveDelta is the Eq. 2 move kernel: the profit change of a user with
-// weights α, β, γ that moves unilaterally from route cur to route cand,
+// Shares are the share caches the move kernel reads, indexed like the
+// routes' task entries: Now[k] = w_k(n_k)/n_k, held by a user on task k,
+// and Join[k] = w_k(n_k+1)/(n_k+1), the share of a user joining it, with
+// the counts n_k including the mover on its current route.
+type Shares struct {
+	Now, Join []float64
+}
+
+// MoveView is one user's side of the move kernel: its weights α, β, γ,
+// its routes, their overlap masks (see RouteMasks), and the share caches.
+// A probe builds it once per user and hands the kernel one pointer to it;
+// at eight words it is copied without a block move.
+type MoveView[K Index] struct {
+	Alpha, Beta, Gamma float64
+	Routes             []MoveRoute[K]
+	Masks              *RouteMasks
+	Shares             *Shares
+}
+
+// Delta is the Eq. 2 move kernel: the profit change of the user's
+// unilateral move from route cur to route cand,
 //
-//	ΔP = α·( Σ_{k∈L'\L} shareJoin[k] − Σ_{k∈L\L'} shareNow[k] )
+//	ΔP = α·( Σ_{k∈L'\L} Join[k] − Σ_{k∈L\L'} Now[k] )
 //	     − β·(d(r')−d(r)) − γ·(b(r')−b(r)),
 //
 // summed over the symmetric difference of the two routes only. The clear
-// bits of join (cand's overlap mask against cur, see RouteMasks) name the
-// tasks the user would join, walked in candidate order; those of leave
-// (cur's mask against cand) the tasks it would leave, in current order.
-// shareNow[k] = w_k(n_k)/n_k and shareJoin[k] = w_k(n_k+1)/(n_k+1), with
-// the counts n_k including the mover on its current route.
+// bits of cand's overlap mask against cur name the tasks the user would
+// join, walked in candidate order; those of cur's mask against cand the
+// tasks it would leave, in current order.
 //
 // Profile.ProfitDeltaIf and the platform's agents both evaluate moves here,
 // so the engine and the distributed runtime agree on every τ bit.
-func MoveDelta[K Index](alpha, beta, gamma float64, cur, cand MoveRoute[K], join, leave []uint64, shareNow, shareJoin []float64) float64 {
+func (v *MoveView[K]) Delta(cur, cand int) float64 {
+	r, c := &v.Routes[cur], &v.Routes[cand]
 	var d float64
-	for w, word := range join {
+	tasks, share := c.Tasks, v.Shares.Join
+	for w, word := range v.Masks.Mask(cur, cand, len(tasks)) {
 		for x := ^word; x != 0; x &= x - 1 { // k ∈ L'\L: the user would join
-			d += shareJoin[cand.Tasks[w<<6|bits.TrailingZeros64(x)]]
+			d += share[tasks[w<<6|bits.TrailingZeros64(x)]]
 		}
 	}
-	for w, word := range leave {
+	tasks, share = r.Tasks, v.Shares.Now
+	for w, word := range v.Masks.Mask(cand, cur, len(tasks)) {
 		for x := ^word; x != 0; x &= x - 1 { // k ∈ L\L': the user would leave
-			d -= shareNow[cur.Tasks[w<<6|bits.TrailingZeros64(x)]]
+			d -= share[tasks[w<<6|bits.TrailingZeros64(x)]]
 		}
 	}
-	return alpha*d - beta*(cand.Detour-cur.Detour) - gamma*(cand.Congestion-cur.Congestion)
+	return v.Alpha*d - v.Beta*(c.Detour-r.Detour) - v.Gamma*(c.Congestion-r.Congestion)
 }
 
 // AppendMoveTasksOf appends B_i for the move cur→cand to dst: every task of
 // cur, then the tasks of cand whose bit in join (cand's overlap mask
-// against cur) is clear, in candidate order — the join walk of MoveDelta.
+// against cur) is clear, in candidate order — the join walk of
+// MoveView.Delta.
 func AppendMoveTasksOf[D, K Index](dst []D, cur, cand []K, join []uint64) []D {
 	for _, k := range cur {
 		dst = append(dst, D(k))

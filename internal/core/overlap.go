@@ -68,25 +68,40 @@ func (m *RouteMasks) Mask(a, b, nb int) []uint64 {
 	return m.bits[o : o+w : o+w]
 }
 
-// overlapMasks is the route-overlap table of an instance: one RouteMasks
-// per user.
+// overlapMasks is what the move kernel reads of an instance, per user:
+// the route-overlap table and the routes with their costs d(r) and b(r).
 type overlapMasks struct {
-	users []RouteMasks
+	users  []RouteMasks
+	routes [][]MoveRoute[task.ID]
 }
 
 func newOverlapMasks(in *Instance) *overlapMasks {
-	m := &overlapMasks{users: make([]RouteMasks, len(in.Users))}
+	m := &overlapMasks{users: make([]RouteMasks, len(in.Users)), routes: make([][]MoveRoute[task.ID], len(in.Users))}
 	on := make([]int32, len(in.Tasks))
 	stamp := int32(0)
-	var routes [][]task.ID
+	var tasks [][]task.ID
+	n := 0
+	for _, u := range in.Users {
+		n += len(u.Routes)
+	}
+	flat := make([]MoveRoute[task.ID], 0, n)
 	for i, u := range in.Users {
-		routes = routes[:0]
+		tasks = tasks[:0]
 		for _, r := range u.Routes {
-			routes = append(routes, r.Tasks)
+			tasks = append(tasks, r.Tasks)
+			flat = append(flat, MoveRoute[task.ID]{r.Tasks, in.DetourCost(r), in.CongestionCost(r)})
 		}
-		m.users[i], stamp = buildRouteMasks(routes, on, stamp)
+		m.users[i], stamp = buildRouteMasks(tasks, on, stamp)
+		m.routes[i], flat = flat[:len(u.Routes):len(u.Routes)], flat[len(u.Routes):]
 	}
 	return m
+}
+
+// view returns user i's move view over profile p's share caches. It is
+// small enough to inline, so a probe builds the view in its own frame.
+func (m *overlapMasks) view(p *Profile, i UserID) MoveView[task.ID] {
+	u := &p.inst.Users[int(i)]
+	return MoveView[task.ID]{u.Alpha, u.Beta, u.Gamma, m.routes[int(i)], &m.users[int(i)], &p.shares}
 }
 
 // mask returns user i's overlap mask of route b (nb tasks) against route a.

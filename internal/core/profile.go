@@ -32,12 +32,11 @@ type Profile struct {
 
 	memo *shareMemo // share table and overlap masks, shared with clones/evaluators
 
-	// shareNow[k] = w_k(n_k)/n_k and shareJoin[k] = w_k(n_k+1)/(n_k+1):
+	// shares.Now[k] = w_k(n_k)/n_k and shares.Join[k] = w_k(n_k+1)/(n_k+1):
 	// the share a user on task k holds now, and the share a user joining
 	// it would get. SetChoice refreshes both on the tasks it walks, so a
 	// probe reads a share instead of dividing for one.
-	shareNow  []float64
-	shareJoin []float64
+	shares Shares
 
 	// alphaSum[k] = Σ_{i: k ∈ L_si} α_i. With it, the reward part of
 	// Σ_i P_i collapses to Σ_k alphaSum[k]·share_k(n_k), which a move
@@ -69,8 +68,7 @@ func NewProfile(inst *Instance, choices []int) (*Profile, error) {
 		choices:     append([]int(nil), choices...),
 		nk:          make([]int, len(inst.Tasks)),
 		memo:        newShareMemo(inst),
-		shareNow:    make([]float64, len(inst.Tasks)),
-		shareJoin:   make([]float64, len(inst.Tasks)),
+		shares:      Shares{Now: make([]float64, len(inst.Tasks)), Join: make([]float64, len(inst.Tasks))},
 		alphaSum:    make([]float64, len(inst.Tasks)),
 		userCost:    make([]float64, len(inst.Users)),
 		userPotCost: make([]float64, len(inst.Users)),
@@ -117,7 +115,7 @@ func (p *Profile) rebase() {
 		if n > 0 {
 			p.profReward.add(p.alphaSum[k] * p.memo.share(k, n))
 		}
-		p.shareNow[k], p.shareJoin[k] = p.memo.share(k, n), p.memo.share(k, n+1)
+		p.shares.Now[k], p.shares.Join[k] = p.memo.share(k, n), p.memo.share(k, n+1)
 	}
 }
 
@@ -156,21 +154,21 @@ func (p *Profile) SetChoice(i UserID, c int) {
 	for _, k := range u.Routes[old].Tasks {
 		n, a := p.nk[k], p.alphaSum[k]
 		// User i leaves task k: n_k drops to n-1, the alpha-sum loses α_i.
-		now, prev := p.shareNow[k], p.memo.share(int(k), n-1)
+		now, prev := p.shares.Now[k], p.memo.share(int(k), n-1)
 		p.potReward.add(-now)
 		p.profReward.add((a-alpha)*prev - a*now)
 		p.alphaSum[k] = a - alpha
 		p.nk[k] = n - 1
-		p.shareNow[k], p.shareJoin[k] = prev, now
+		p.shares.Now[k], p.shares.Join[k] = prev, now
 	}
 	for _, k := range u.Routes[c].Tasks {
 		n, a := p.nk[k]+1, p.alphaSum[k]+alpha
-		join, prev := p.shareJoin[k], p.shareNow[k]
+		join, prev := p.shares.Join[k], p.shares.Now[k]
 		p.potReward.add(join)
 		p.profReward.add(a*join - (a-alpha)*prev)
 		p.alphaSum[k] = a
 		p.nk[k] = n
-		p.shareNow[k], p.shareJoin[k] = join, p.memo.share(int(k), n+1)
+		p.shares.Now[k], p.shares.Join[k] = join, p.memo.share(int(k), n+1)
 	}
 	p.choices[int(i)] = c
 
@@ -200,8 +198,7 @@ func (p *Profile) Clone() *Profile {
 		choices:     append([]int(nil), p.choices...),
 		nk:          append([]int(nil), p.nk...),
 		memo:        p.memo,
-		shareNow:    append([]float64(nil), p.shareNow...),
-		shareJoin:   append([]float64(nil), p.shareJoin...),
+		shares:      Shares{Now: append([]float64(nil), p.shares.Now...), Join: append([]float64(nil), p.shares.Join...)},
 		alphaSum:    append([]float64(nil), p.alphaSum...),
 		userCost:    append([]float64(nil), p.userCost...),
 		userPotCost: append([]float64(nil), p.userPotCost...),
@@ -221,7 +218,7 @@ func (p *Profile) Profit(i UserID) float64 {
 	r := u.Routes[p.choices[int(i)]]
 	var reward float64
 	for _, k := range r.Tasks {
-		reward += p.shareNow[k]
+		reward += p.shares.Now[k]
 	}
 	return u.Alpha*reward - u.Beta*p.inst.DetourCost(r) - u.Gamma*p.inst.CongestionCost(r)
 }
@@ -232,7 +229,7 @@ func (p *Profile) RewardOf(i UserID) float64 {
 	r := p.Route(i)
 	var reward float64
 	for _, k := range r.Tasks {
-		reward += p.shareNow[k]
+		reward += p.shares.Now[k]
 	}
 	return reward
 }

@@ -44,7 +44,7 @@ type AgentConfig struct {
 // cover are sorted into taskIDs, every other per-task slice (params, n and
 // the share caches) is indexed like it, and the routes' overlap masks are
 // built over those local indices. A best response then runs core's move
-// kernel (core.MoveDelta) and Δ_i rule on that view, as the engine's
+// kernel (core.MoveView) and Δ_i rule on that view, as the engine's
 // profile does: no map lookups and no allocation.
 type Agent struct {
 	cfg  AgentConfig
@@ -56,11 +56,10 @@ type Agent struct {
 	taskIDs []int
 	params  []wire.TaskParam
 	// n holds the latest SlotInfo's participant counts (-1 before the
-	// first SlotInfo); shareNow and shareJoin hold the shares
-	// core.MoveShares gives at those counts, refreshed only where a count
-	// changed.
-	n                   []int
-	shareNow, shareJoin []float64
+	// first SlotInfo); shares holds the shares core.MoveShares gives at
+	// those counts, refreshed only where a count changed.
+	n      []int
+	shares core.Shares
 	// dp, delta and b are the per-slot scratch: ΔP_i of every route, Δ_i,
 	// and B_i of the proposed move in local indices.
 	dp    []float64
@@ -274,8 +273,7 @@ func (a *Agent) buildView(in *wire.Init) error {
 	for i := range a.n {
 		a.n[i] = -1
 	}
-	a.shareNow = make([]float64, len(ids))
-	a.shareJoin = make([]float64, len(ids))
+	a.shares = core.Shares{Now: make([]float64, len(ids)), Join: make([]float64, len(ids))}
 	a.dp = make([]float64, len(in.Routes))
 	return nil
 }
@@ -288,7 +286,7 @@ func (a *Agent) loadCounts(si *wire.SlotInfo) {
 		if n := si.Counts[k]; n != a.n[i] {
 			a.n[i] = n
 			p := a.params[i]
-			a.shareNow[i], a.shareJoin[i] = core.MoveShares(task.Task{A: p.A, Mu: p.Mu}, n)
+			a.shares.Now[i], a.shares.Join[i] = core.MoveShares(task.Task{A: p.A, Mu: p.Mu}, n)
 		}
 	}
 }
@@ -298,11 +296,10 @@ func (a *Agent) loadCounts(si *wire.SlotInfo) {
 // current route's, 0, is not read). The returned slice is scratch, valid
 // until the next call.
 func (a *Agent) bestResponseSet() []int {
-	cur := a.routes[a.current]
-	for c, r := range a.routes {
-		a.dp[c] = core.MoveDelta(a.cfg.Alpha, a.cfg.Beta, a.cfg.Gamma, cur, r,
-			a.masks.Mask(a.current, c, len(r.Tasks)), a.masks.Mask(c, a.current, len(cur.Tasks)),
-			a.shareNow, a.shareJoin)
+	v := core.MoveView[int32]{Alpha: a.cfg.Alpha, Beta: a.cfg.Beta, Gamma: a.cfg.Gamma,
+		Routes: a.routes, Masks: &a.masks, Shares: &a.shares}
+	for c := range a.routes {
+		a.dp[c] = v.Delta(a.current, c)
 	}
 	a.delta = core.BestResponseSetOf(a.delta, a.dp, a.current)
 	return a.delta

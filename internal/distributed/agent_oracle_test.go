@@ -80,9 +80,9 @@ func (o *oracleAgent) bestResponseSet() []int {
 	return out
 }
 
-// deltaOf returns ΔP_i of the move to route c, evaluated by core.MoveDelta
-// on a view indexed by task ID: shares from the oracle's own share, masks
-// built over the routes' task IDs.
+// deltaOf returns ΔP_i of the move to route c, evaluated by core's move
+// kernel on a view indexed by task ID: shares from the oracle's own share,
+// masks built over the routes' task IDs.
 func (o *oracleAgent) deltaOf(c int) float64 {
 	size := 0
 	tasks := make([][]int, len(o.routes))
@@ -97,13 +97,11 @@ func (o *oracleAgent) deltaOf(c int) float64 {
 		now[k], join[k] = o.share(k, o.counts[k]), o.share(k, o.counts[k]+1)
 	}
 	m := core.NewRouteMasks(tasks, size)
-	route := func(r int) core.MoveRoute[int] {
-		ri := o.routes[r]
-		return core.MoveRoute[int]{Tasks: ri.Tasks, Detour: ri.DetourCost, Congestion: ri.CongestionCost}
+	v := core.MoveView[int]{Alpha: o.alpha, Beta: o.beta, Gamma: o.gamma, Masks: &m, Shares: &core.Shares{Now: now, Join: join}}
+	for _, ri := range o.routes {
+		v.Routes = append(v.Routes, core.MoveRoute[int]{Tasks: ri.Tasks, Detour: ri.DetourCost, Congestion: ri.CongestionCost})
 	}
-	cur := o.current
-	return core.MoveDelta(o.alpha, o.beta, o.gamma, route(cur), route(c),
-		m.Mask(cur, c, len(tasks[c])), m.Mask(c, cur, len(tasks[cur])), now, join)
+	return v.Delta(o.current, c)
 }
 
 // moveTasks returns B_i: the union of tasks on the current and proposed

@@ -20,10 +20,12 @@ var (
 	collectSequential = telemetry.Default().Counter("engine_collect_sequential_total")
 )
 
-// collectParallelMin is the number of users to probe at which a collection
-// fans the probes across internal/parallel shards. Below it the goroutine
-// fan-out costs more than the probes; a package variable so tests can force
-// either path.
+// collectParallelMin is the work a collection knows of before its pass —
+// the drift pushes of the tasks whose count changed plus the users marked
+// for a re-probe — at which the pass fans its shards out over goroutines.
+// Below it the fan-out costs more than the pass, and the shards run one
+// after another on the calling goroutine. A package variable so tests can
+// force either path.
 var collectParallelMin = 96
 
 // driftUnit is the fixed-point unit of the per-user drift counters: 2^-32
@@ -52,6 +54,17 @@ const driftInf = math.MaxUint64
 // cancels out of every symmetric difference). The derivation of the skip
 // rule and its slack is in ALGORITHMS.md, "Incremental request collection".
 //
+// Each collection runs as one pass over W contiguous user ranges, the
+// shards, W fixed when the collector binds to its profile: sync works out
+// serially which tasks changed count and how far their shares can have
+// moved, then every shard pushes that drift into its own users' slots,
+// applies the skip rule to them and re-probes the rest with its own
+// core.Evaluator. Every per-user slot (drift, dp, delta, nd, gap) is
+// written by exactly one shard, drift sums are exact integers whose
+// saturating adds commute, and a probe's value does not depend on the
+// evaluator that runs it, so the outcome is the same whether the shards
+// run inline or in parallel, and whatever W is.
+//
 // A collector serves one profile; handed another, it starts over. Its
 // zero value is ready to use.
 type collector struct {
@@ -67,23 +80,37 @@ type collector struct {
 	choice []int32   // choices at the last collection
 	count  []int32   // task counts at the last collection
 
-	// Built on the second collection: the watch index (watchers of task k
-	// are watch[watchOff[k]:watchOff[k+1]]), each user's skip limit
-	// Eps − slack_i and static magnitude, and per-task scratch.
-	watchOff []int32
-	watch    []int32
-	limit    []float64
-	mag      []float64
-	was      []int32 // count before this sync, or -1 when untouched
+	// Shard w owns users bound[w] .. bound[w+1] and probes with evs[w];
+	// probed[w] is how many users it probed in the last pass, probes the
+	// sum over the shards.
+	bound  []int32
+	evs    []*core.Evaluator
+	probed []int32
+	probes int
+
+	// Built on the second collection: the watch index, split by shard —
+	// the watchers of task k that shard w owns are
+	// watch[split[k·(W+1)+w] : split[k·(W+1)+w+1]] — each user's skip
+	// limit Eps − slack_i and static magnitude, and per-task scratch.
+	split []int32
+	watch []int32
+	limit []float64
+	mag   []float64
+	was   []int32 // count before this sync, or -1 when untouched
 
 	b      [][]int // cached B_i of requesters, exact-size
 	bRoute []int32 // the route b[i] was built for
 
-	evs     []*core.Evaluator
-	probes  []int32 // scratch: users to probe this collection
-	touched []int32 // scratch: tasks walked by this sync's movers
-	tmp     []int   // scratch: a B before it is copied out
+	changed []taskDrift // scratch: this sync's changed tasks
+	touched []int32     // scratch: tasks walked by this sync's movers
+	tmp     []int       // scratch: a B before it is copied out
 	users   []core.UserID
+}
+
+// taskDrift is one changed task of a sync and its shareDrift bound.
+type taskDrift struct {
+	k int32
+	q uint64
 }
 
 // collect returns this slot's update requests: every user whose Δ_i is
@@ -138,37 +165,27 @@ func (c *collector) moveTasks(p *core.Profile, i core.UserID, route int) []int {
 	return b
 }
 
-// refresh brings every user's Δ_i up to date with the profile.
+// refresh brings every user's Δ_i up to date with the profile: a serial
+// sync, then the sharded pass.
 func (c *collector) refresh(p *core.Profile) {
+	var work int
 	if c.p != p {
-		c.start(p)
-		return
-	}
-	if c.watchOff == nil {
-		c.buildIndex()
-	}
-	c.sync()
-	c.probes = c.probes[:0]
-	for i, d := range c.drift {
-		if d == 0 {
-			continue // reuse: a fresh probe would be bit-identical
+		work = c.start(p)
+	} else {
+		if c.split == nil {
+			c.buildIndex()
 		}
-		if d != driftInf {
-			x := math.Abs(c.in.Users[i].Alpha) * (float64(d) * driftUnit)
-			if x <= c.mag[i] && c.gap[i]+x <= c.limit[i] {
-				continue // Δ_i = ∅ still, and already cached as such
-			}
-		}
-		c.probes = append(c.probes, int32(i))
+		work = c.sync()
 	}
-	c.probe(c.probes)
+	c.pass(work)
 }
 
-// start binds the collector to a profile and probes every user that has a
-// choice to make.
-func (c *collector) start(p *core.Profile) {
+// start binds the collector to a profile, fixes its shards, and marks every
+// user that has a choice to make for a probe. It returns the number marked.
+func (c *collector) start(p *core.Profile) int {
 	in := p.Instance()
 	n, nt := in.NumUsers(), in.NumTasks()
+	w := parallel.DefaultWorkers()
 	*c = collector{
 		p:      p,
 		in:     in,
@@ -178,14 +195,24 @@ func (c *collector) start(p *core.Profile) {
 		drift:  make([]uint64, n),
 		choice: make([]int32, n),
 		count:  make([]int32, nt),
+		bound:  make([]int32, w+1),
+		probed: make([]int32, w),
 		b:      make([][]int, n),
 		bRoute: make([]int32, n),
 	}
+	for s := range c.bound {
+		c.bound[s] = int32(s * n / w)
+	}
+	for range w {
+		c.evs = append(c.evs, p.NewEvaluator())
+	}
+	marked := 0
 	for i, u := range in.Users {
 		c.off[i+1] = c.off[i] + int32(len(u.Routes))
 		c.choice[i] = int32(p.Choice(core.UserID(i)))
 		if len(u.Routes) > 1 {
-			c.probes = append(c.probes, int32(i))
+			c.drift[i] = driftInf
+			marked++
 		}
 	}
 	for k := range c.count {
@@ -193,13 +220,15 @@ func (c *collector) start(p *core.Profile) {
 	}
 	c.dp = make([]float64, c.off[n])
 	c.delta = make([]int32, c.off[n])
-	c.probe(c.probes)
+	return marked
 }
 
 // sync applies the moves made since the last collection, by the policy or
-// anyone else: each changed task count adds the largest change of its two
-// shares to every watcher's drift, and each mover is marked for a re-probe.
-func (c *collector) sync() {
+// anyone else: it updates the task counts, marks each mover for a re-probe,
+// and lists every task whose count changed with the largest change of its
+// two shares, for the pass to push into its watchers' drift. It returns
+// the pass's known work: the drift pushes plus the movers.
+func (c *collector) sync() int {
 	in := c.in
 	touch := func(k task.ID, d int32) {
 		if c.was[k] < 0 {
@@ -208,6 +237,7 @@ func (c *collector) sync() {
 		}
 		c.count[k] += d
 	}
+	work := 0
 	c.touched = c.touched[:0]
 	for i := range c.choice {
 		now := int32(c.p.Choice(core.UserID(i)))
@@ -224,22 +254,76 @@ func (c *collector) sync() {
 		c.choice[i] = now
 		c.b[i] = nil
 		c.drift[i] = driftInf // always re-probe a mover
+		work++
 	}
+	stride := len(c.bound)
+	c.changed = c.changed[:0]
 	for _, k := range c.touched {
 		n0, n1 := int(c.was[k]), int(c.count[k])
 		c.was[k] = -1
 		if n0 == n1 {
 			continue
 		}
-		q := shareDrift(in.Tasks[k], n0, n1)
-		for _, u := range c.watch[c.watchOff[k]:c.watchOff[k+1]] {
-			if d := c.drift[u] + q; d >= q {
+		c.changed = append(c.changed, taskDrift{k, shareDrift(in.Tasks[k], n0, n1)})
+		work += int(c.split[int(k)*stride+stride-1] - c.split[int(k)*stride])
+	}
+	return work
+}
+
+// pass runs every shard once: inline below collectParallelMin units of
+// known work, else one goroutine per shard.
+func (c *collector) pass(work int) {
+	if work < collectParallelMin {
+		collectSequential.Inc()
+		for w := range c.evs {
+			c.shard(w)
+		}
+	} else {
+		collectParallel.Inc()
+		// The shard body never errors; ForEach's error return is vacuous here.
+		_ = parallel.ForEach(len(c.evs), len(c.evs), func(w int) error {
+			c.shard(w)
+			return nil
+		})
+	}
+	c.probes = 0
+	for _, n := range c.probed {
+		c.probes += int(n)
+	}
+}
+
+// shard runs shard w's part of a pass: it adds this sync's share drift to
+// the drift of its users that watch a changed task, then re-probes those of
+// its users whose Δ_i may have changed — a nonzero drift that the skip rule
+// cannot bound.
+func (c *collector) shard(w int) {
+	stride := len(c.bound)
+	for _, t := range c.changed {
+		s := int(t.k)*stride + w
+		for _, u := range c.watch[c.split[s]:c.split[s+1]] {
+			if d := c.drift[u] + t.q; d >= t.q {
 				c.drift[u] = d
 			} else {
 				c.drift[u] = driftInf
 			}
 		}
 	}
+	ev, n := c.evs[w], int32(0)
+	for i := c.bound[w]; i < c.bound[w+1]; i++ {
+		d := c.drift[i]
+		if d == 0 {
+			continue // reuse: a fresh probe would be bit-identical
+		}
+		if d != driftInf {
+			x := math.Abs(c.in.Users[i].Alpha) * (float64(d) * driftUnit)
+			if x <= c.mag[i] && c.gap[i]+x <= c.limit[i] {
+				continue // Δ_i = ∅ still, and already cached as such
+			}
+		}
+		c.probeUser(ev, i)
+		n++
+	}
+	c.probed[w] = n
 }
 
 // shareDrift bounds, in driftUnit and rounded up, how far task k's two
@@ -259,56 +343,17 @@ func shareDrift(t task.Task, n0, n1 int) uint64 {
 	return uint64(x) + 1
 }
 
-// probe re-evaluates ΔP_i(c) on every route of the listed users and
-// resets their drift. At collectParallelMin users or more the probes fan
-// out over parallel shards, each with its own core.Evaluator: user j of
-// the list goes to shard j mod shards, and each user's cache slots are
-// written by its shard alone, so the outcome never depends on scheduling.
-func (c *collector) probe(users []int32) {
-	if len(users) < collectParallelMin {
-		collectSequential.Inc()
-		ev := c.evaluators(1)[0]
-		for _, i := range users {
-			c.probeUser(ev, i)
-		}
-		return
-	}
-	collectParallel.Inc()
-	shards := min(parallel.DefaultWorkers(), (len(users)+31)/32) // ≥32 users per shard
-	evs := c.evaluators(shards)
-	// The shard body never errors; ForEach's error return is vacuous here.
-	_ = parallel.ForEach(shards, shards, func(w int) error {
-		for j := w; j < len(users); j += shards {
-			c.probeUser(evs[w], users[j])
-		}
-		return nil
-	})
-}
-
-// evaluators returns at least n evaluators on the collector's profile. They
-// are made before any fan-out: the first one builds the instance's overlap
-// masks, outside the parallel section.
-func (c *collector) evaluators(n int) []*core.Evaluator {
-	for len(c.evs) < n {
-		c.evs = append(c.evs, c.p.NewEvaluator())
-	}
-	return c.evs
-}
-
 // probeUser caches ΔP_i(c) for every route c of user i, and Δ_i computed
 // from them by core's Δ_i rule, as core's BestResponseSet does.
 func (c *collector) probeUser(ev *core.Evaluator, i int32) {
 	lo, hi, cur := c.off[i], c.off[i+1], int(c.choice[i])
 	dp := c.dp[lo:hi]
+	ev.ProfitDeltas(core.UserID(i), dp)
 	gap := math.Inf(-1)
-	for r := range dp {
-		if r == cur {
-			dp[r] = 0
-			continue
+	for r, d := range dp {
+		if r != cur {
+			gap = max(gap, d) // NaN sticks, and a NaN gap never skips
 		}
-		d := ev.ProfitDeltaIf(core.UserID(i), r)
-		dp[r] = d
-		gap = max(gap, d) // NaN sticks, and a NaN gap never skips
 	}
 	delta := core.BestResponseSetOf(c.delta[lo:lo:hi], dp, cur)
 	c.nd[i] = int32(len(delta))
@@ -323,11 +368,13 @@ func (c *collector) probeUser(ev *core.Evaluator, i int32) {
 //
 // which bounds |ΔP_i(c)| for every c (a share is at most |a_k|+|µ_k|,
 // because ln q ≤ q), and the slack γ_n·(M_i+Eps) with n = 2w_i+16, which
-// bounds the rounding of two probes and of the skip test itself.
+// bounds the rounding of two probes and of the skip test itself. Each
+// task's watchers are listed in user order, so shard w's are one run of
+// the list; the runs' split offsets are fixed here, once.
 func (c *collector) buildIndex() {
 	in := c.in
 	nt := len(in.Tasks)
-	c.watchOff = make([]int32, nt+1)
+	off := make([]int32, nt+1) // task k's watchers are watch[off[k]:off[k+1]]
 	c.limit = make([]float64, len(in.Users))
 	c.mag = make([]float64, len(in.Users))
 	c.was = make([]int32, nt)
@@ -339,7 +386,7 @@ func (c *collector) buildIndex() {
 		u := &in.Users[i]
 		var sum, slots float64
 		w.scan(u, func(k task.ID, m int32) {
-			c.watchOff[k+1] += m
+			off[k+1] += m
 			t := in.Tasks[k]
 			sum += float64(m) * (math.Abs(t.A) + math.Abs(t.Mu))
 			slots += float64(m)
@@ -353,17 +400,30 @@ func (c *collector) buildIndex() {
 		c.limit[i] = core.Eps - gammaN(2*slots+16)*(c.mag[i]+core.Eps)
 	}
 	for k := 0; k < nt; k++ {
-		c.watchOff[k+1] += c.watchOff[k]
+		off[k+1] += off[k]
 	}
-	c.watch = make([]int32, c.watchOff[nt])
-	fill := append([]int32(nil), c.watchOff[:nt]...)
+	c.watch = make([]int32, off[nt])
+	stride := len(c.bound)
+	c.split = make([]int32, nt*stride)
+	fill := off[:nt] // fill[k]: the next free slot of task k's watchers
+	shard := 0
 	for i := range in.Users {
+		for ; c.bound[shard] <= int32(i); shard++ {
+			for k, f := range fill {
+				c.split[k*stride+shard] = f
+			}
+		}
 		w.scan(&in.Users[i], func(k task.ID, m int32) {
 			for ; m > 0; m-- {
 				c.watch[fill[k]] = int32(i)
 				fill[k]++
 			}
 		})
+	}
+	for ; shard < stride; shard++ {
+		for k, f := range fill {
+			c.split[k*stride+shard] = f
+		}
 	}
 }
 

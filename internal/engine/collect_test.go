@@ -2,6 +2,8 @@ package engine
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -31,8 +33,8 @@ func oracleRequests(p *core.Profile, s *rng.Stream, withMeta bool) []Request {
 }
 
 // forceCollectMode runs fn with collectParallelMin pinned so that every
-// collection probes on exactly the requested path regardless of how many
-// users it probes, restoring the threshold afterwards.
+// collection with any work runs its pass on exactly the requested path,
+// inline or on goroutines, restoring the threshold afterwards.
 func forceCollectMode(parallelPath bool, fn func()) {
 	saved := collectParallelMin
 	if parallelPath {
@@ -45,7 +47,7 @@ func forceCollectMode(parallelPath bool, fn func()) {
 }
 
 // TestCollectRequestsParallelMatchesSequential is the determinism contract
-// of the sharded probe path: for instances large enough to engage the
+// of the sharded pass: for instances large enough to engage the
 // parallel evaluation (M ≥ 256), the request sets of a first collection —
 // users, proposed routes, τ_i, and B_i — must be identical, element for
 // element, to the sequential path's and to the stateless oracle's, and the
@@ -94,27 +96,74 @@ func TestCollectRequestsParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunIdenticalAcrossCollectModes runs the full protocol on a
-// parallel-sized instance with the threshold forced both ways and asserts
-// the runs are indistinguishable: same slots, same updates, same final
-// choices.
+// puuTrace runs PUU from the given choices through its collector and
+// returns every slot's requests, the final choices, and the collector's
+// shard count.
+func puuTrace(in *core.Instance, choices []int) (slots [][]Request, final []int, shards int) {
+	p, err := core.NewProfile(in, choices)
+	if err != nil {
+		panic(err)
+	}
+	pol := NewPUU().(*collecting)
+	s := rng.New(5)
+	for len(slots) < 1000 {
+		reqs := pol.c.collect(p, s, true)
+		slots = append(slots, reqs)
+		if len(reqs) == 0 {
+			break
+		}
+		pol.rule(p, s, reqs)
+	}
+	return slots, p.Choices(), len(pol.c.evs)
+}
+
+// collectModesIdentical runs PUU from the given choices with the
+// collector's pass forced inline and forced onto goroutines, at 1, 2, 3
+// and 5 shards (the shard count follows GOMAXPROCS), and requires every
+// run to match the first slot for slot: the same requesters, proposed
+// routes, τ bits and B sets, and the same final choices.
+func collectModesIdentical(t testing.TB, in *core.Instance, choices []int) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want [][]Request
+	var wantFinal []int
+	for _, shards := range []int{1, 2, 3, 5} {
+		runtime.GOMAXPROCS(shards)
+		for _, parallelPath := range []bool{false, true} {
+			var got [][]Request
+			var final []int
+			var w int
+			forceCollectMode(parallelPath, func() { got, final, w = puuTrace(in, choices) })
+			if w != shards {
+				t.Fatalf("collector has %d shards at GOMAXPROCS %d", w, shards)
+			}
+			if want == nil {
+				want, wantFinal = got, final
+				if len(want) < 3 {
+					t.Fatalf("degenerate run: %d slots", len(want))
+				}
+				continue
+			}
+			for slot := range min(len(got), len(want)) {
+				if msg := requestsDiff(got[slot], want[slot]); msg != "" {
+					t.Fatalf("%d shards, parallel %v, slot %d: %s", shards, parallelPath, slot, msg)
+				}
+			}
+			if len(got) != len(want) || !slices.Equal(final, wantFinal) {
+				t.Fatalf("%d shards, parallel %v: %d slots, first run %d; final choices equal: %v",
+					shards, parallelPath, len(got), len(want), slices.Equal(final, wantFinal))
+			}
+		}
+	}
+}
+
+// TestRunIdenticalAcrossCollectModes runs PUU on a parallel-sized
+// instance through every collect mode and shard count and asserts the
+// runs are indistinguishable slot for slot. Under -race (make ci) it also
+// races the shards' per-user writes.
 func TestRunIdenticalAcrossCollectModes(t *testing.T) {
 	in := core.RandomInstance(core.DefaultRandomConfig(256, 120), rng.New(21))
-	run := func(parallelPath bool) Result {
-		var res Result
-		forceCollectMode(parallelPath, func() {
-			res = Run(in, NewPUU, rng.New(5), Config{MaxSlots: 400})
-		})
-		return res
-	}
-	a, b := run(false), run(true)
-	if a.Slots != b.Slots || a.Converged != b.Converged || a.TotalUpdates != b.TotalUpdates {
-		t.Fatalf("run shape diverged: sequential (slots=%d conv=%v upd=%d) vs parallel (slots=%d conv=%v upd=%d)",
-			a.Slots, a.Converged, a.TotalUpdates, b.Slots, b.Converged, b.TotalUpdates)
-	}
-	if !reflect.DeepEqual(a.Profile.Choices(), b.Profile.Choices()) {
-		t.Fatal("final choices diverged between sequential and parallel collect paths")
-	}
+	collectModesIdentical(t, in, core.RandomProfile(in, rng.New(4)).Choices())
 }
 
 // TestRequestsDoesNotMutate asserts the exported Requests helper is a pure

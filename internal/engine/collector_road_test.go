@@ -10,10 +10,11 @@ import (
 	"repro/internal/trace"
 )
 
-// TestCollectorMatchesOracleRoad runs the collector differential on a
-// small Shanghai road scenario: routes that share long task runs across
-// users with the same trip, some over 64 tasks.
-func TestCollectorMatchesOracleRoad(t *testing.T) {
+// smallRoad builds a small Shanghai road scenario — routes that share long
+// task runs across users with the same trip, some over 64 tasks — and a
+// random initial profile on it.
+func smallRoad(t *testing.T) (*core.Instance, []int) {
+	t.Helper()
 	spec := trace.Shanghai()
 	spec.Trips = 40
 	w, err := experiments.NewWorld(spec, 11)
@@ -25,12 +26,26 @@ func TestCollectorMatchesOracleRoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	choices := core.RandomProfile(sc.Instance, s.Child()).Choices()
+	return sc.Instance, core.RandomProfile(sc.Instance, s.Child()).Choices()
+}
+
+// TestCollectorMatchesOracleRoad runs the collector differential on a
+// small Shanghai road scenario.
+func TestCollectorMatchesOracleRoad(t *testing.T) {
+	in, choices := smallRoad(t)
 	for f, factory := range engine.CollectingFactories {
 		for _, external := range []bool{false, true} {
-			if slots, _ := engine.CollectorDifferential(t, sc.Instance, choices, factory, uint64(f), 400, external); slots < 2 {
+			if slots, _ := engine.CollectorDifferential(t, in, choices, factory, uint64(f), 400, external); slots < 2 {
 				t.Fatalf("policy %d: degenerate run of %d slots", f, slots)
 			}
 		}
 	}
+}
+
+// TestRunIdenticalAcrossCollectModesRoad is TestRunIdenticalAcrossCollectModes
+// on the small road scenario: every collect mode and shard count gives the
+// same PUU run, slot for slot.
+func TestRunIdenticalAcrossCollectModesRoad(t *testing.T) {
+	in, choices := smallRoad(t)
+	engine.CollectModesIdentical(t, in, choices)
 }

@@ -183,7 +183,7 @@ func TestCollectorProbesFewUsers(t *testing.T) {
 	for ; ; slots++ {
 		reqs := pol.c.collect(p, s, true)
 		if slots > 0 {
-			probes += len(pol.c.probes)
+			probes += pol.c.probes
 		}
 		for _, d := range pol.c.drift {
 			if d > 0 {

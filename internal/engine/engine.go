@@ -273,51 +273,106 @@ func NewPUU() Policy {
 	}}
 }
 
-// SelectPUU implements the greedy core of Algorithm 3 on a request set: sort
-// by δ_i = τ_i/|B_i| non-ascending (a move touching no tasks interferes with
-// nothing and has δ = +Inf, sorted first), then admit requests whose B sets
-// do not intersect the union of already-admitted B sets. Ties in δ keep
-// request (user) order — the sort key is (δ, request index) — so the
-// selection is reproducible.
+// SelectPUU implements the greedy core of Algorithm 3 on a request set:
+// take requests by δ_i = τ_i/|B_i| non-ascending (a move touching no tasks
+// interferes with nothing and has δ = +Inf, taken first), admitting those
+// whose B sets do not intersect the union of already-admitted B sets. Ties
+// in δ keep request (user) order and a NaN δ comes last, so the selection
+// is reproducible: it equals a stable sort by non-ascending δ followed by
+// an admission pass.
+//
+// A slot admits few requests, so SelectPUU walks arg-maxes instead of
+// sorting: it admits the (δ, lowest index) arg-max of the still-admissible
+// requests, and one scan drops every request whose B meets the admitted
+// tasks and finds the next arg-max. While each admission at least halves
+// the admissible set the walk costs under two scans in all; once one does
+// not, the rest is sorted and finished in one admission pass, so a slot of
+// many small, disjoint B sets costs one scan more than a sort.
+//
 // Task IDs in B must be non-negative: admitted tasks are marked in a slice
 // indexed by ID. Exported for direct testing of Theorem 3's guarantee.
 func SelectPUU(reqs []Request) []Request {
-	type key struct {
-		delta float64
-		i     int
-	}
-	keys := make([]key, len(reqs))
+	live := make([]puuKey, len(reqs)) // still admissible, in request order
+	next := -1
 	for i, r := range reqs {
-		keys[i] = key{math.Inf(1), i}
+		live[i] = puuKey{math.Inf(1), i}
 		if len(r.B) > 0 {
-			keys[i].delta = r.Tau / float64(len(r.B))
+			live[i].delta = r.Tau / float64(len(r.B))
+		}
+		if next < 0 || live[i].outranks(live[next]) {
+			next = i
 		}
 	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if c := cmp.Compare(b.delta, a.delta); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.i, b.i)
-	})
-	var taken []bool // grown on demand: most B sets are never marked
-	var out []Request
-admit:
-	for _, key := range keys {
-		r := reqs[key.i]
-		for _, k := range r.B {
-			if k < len(taken) && taken[k] {
-				continue admit
+	var set admitSet
+	for next >= 0 {
+		set.admit(reqs[live[next].i])
+		admitted, n := next, 0
+		next = -1
+		for j, key := range live {
+			if j == admitted || set.meets(reqs[key.i].B) {
+				continue
 			}
-		}
-		for _, k := range r.B {
-			if k >= len(taken) {
-				taken = append(taken, make([]bool, k+1-len(taken))...)
+			if next < 0 || key.outranks(live[next]) {
+				next = n
 			}
-			taken[k] = true
+			live[n] = key
+			n++
 		}
-		out = append(out, r)
+		halved := n <= len(live)/2
+		live = live[:n]
+		if !halved {
+			slices.SortFunc(live, func(a, b puuKey) int {
+				if c := cmp.Compare(b.delta, a.delta); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.i, b.i)
+			})
+			for _, key := range live {
+				if r := reqs[key.i]; !set.meets(r.B) {
+					set.admit(r)
+				}
+			}
+			break
+		}
 	}
-	return out
+	return set.out
+}
+
+// puuKey is a request's δ and index in SelectPUU.
+type puuKey struct {
+	delta float64
+	i     int
+}
+
+// outranks reports whether a comes before b in a scan in request order: a
+// strictly greater δ, so a tie keeps the lower index and NaN, below every
+// number as cmp.Compare orders it, displaces none.
+func (a puuKey) outranks(b puuKey) bool { return cmp.Compare(a.delta, b.delta) > 0 }
+
+// admitSet is SelectPUU's admitted requests and the tasks they touch.
+type admitSet struct {
+	taken []bool // grown on demand: most B sets are never marked
+	out   []Request
+}
+
+// meets reports whether B shares a task with an admitted request.
+func (s *admitSet) meets(b []int) bool {
+	for _, k := range b {
+		if k < len(s.taken) && s.taken[k] {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *admitSet) admit(r Request) {
+	for _, k := range r.B {
+		if k >= len(s.taken) {
+			s.taken = append(s.taken, make([]bool, k+1-len(s.taken))...)
+		}
+		s.taken[k] = true
+	}
+	s.out = append(s.out, r)
 }
 
 // --- BRUN: Better Response Update Navigation ---

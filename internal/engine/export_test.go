@@ -1,9 +1,11 @@
 package engine
 
-// The collector differential and its policies, for the external test
+// The collector differential, its policies and the collect-mode identity
+// check, for the external test
 // package: road scenarios come from internal/experiments, which imports
 // this package.
 var (
 	CollectorDifferential = collectorDifferential
 	CollectingFactories   = collectingFactories
+	CollectModesIdentical = collectModesIdentical
 )

@@ -136,3 +136,42 @@ func users(reqs []Request) []core.UserID {
 	}
 	return out
 }
+
+// FuzzSelectPUU checks SelectPUU against the frozen stable-sort and
+// insertion-sort selections on request sets decoded from the input. Each
+// request is a header byte — τ from a table holding equal values, 0,
+// negatives, ±Inf and NaN in its low three bits, |B| ≤ 7 in the next three
+// (0 gives δ = +Inf) — then |B| bytes of task IDs below 16, so B sets
+// share tasks and may repeat one. The insertion sort's > comparisons leave
+// a NaN δ where it stands rather than last, so it is compared only when no
+// δ is NaN.
+func FuzzSelectPUU(f *testing.F) {
+	f.Add([]byte{0x08, 1, 0x09, 2, 0x10, 1, 2, 0x00})
+	f.Add([]byte{0x0e, 3, 0x08, 3, 0x00, 0x0e, 4, 0x16, 5, 6, 0x07})
+	f.Add([]byte{0x38, 0, 1, 2, 3, 4, 5, 6, 0x08, 7, 0x08, 8, 0x08, 9, 0x09, 10, 0x0b, 11, 0x08, 0})
+	taus := [8]float64{1, 1, 2, 0.5, 0, -1, math.NaN(), math.Inf(1)}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var reqs []Request
+		nan := false
+		for len(data) > 0 {
+			h := data[0]
+			nb := min(int(h>>3&7), len(data)-1)
+			r := Request{User: core.UserID(len(reqs)), Route: int(h >> 6), Tau: taus[h&7]}
+			for _, k := range data[1 : 1+nb] {
+				r.B = append(r.B, int(k&15))
+			}
+			data = data[1+nb:]
+			nan = nan || nb > 0 && math.IsNaN(r.Tau)
+			reqs = append(reqs, r)
+		}
+		got := SelectPUU(reqs)
+		if msg := requestsDiff(got, stableSelectPUU(reqs)); msg != "" {
+			t.Fatalf("against the stable sort: %s", msg)
+		}
+		if !nan {
+			if msg := requestsDiff(got, insertionSelectPUU(reqs)); msg != "" {
+				t.Fatalf("against the insertion sort: %s", msg)
+			}
+		}
+	})
+}
