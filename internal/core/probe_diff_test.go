@@ -135,9 +135,10 @@ func TestConcurrentEvaluatorsShareMasks(t *testing.T) {
 			defer wg.Done()
 			ev := p.NewEvaluator()
 			for i := w; i < len(in.Users); i += workers {
-				for c := range in.Users[i].Routes {
-					got, want := ev.ProfitDeltaIf(UserID(i), c), markingProfitDeltaIf(p, UserID(i), c)
-					if math.Float64bits(got) != math.Float64bits(want) {
+				dp := make([]float64, len(in.Users[i].Routes))
+				ev.ProfitDeltas(UserID(i), dp)
+				for c, got := range dp {
+					if want := markingProfitDeltaIf(p, UserID(i), c); math.Float64bits(got) != math.Float64bits(want) {
 						errs[w] = "concurrent probe disagrees with the marking oracle"
 						return
 					}

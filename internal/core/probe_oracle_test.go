@@ -79,19 +79,22 @@ func markingMoveTasks(p *Profile, i UserID, c int) []int {
 
 // probeMismatch compares every (user, route) probe of p — ProfitDeltaIf,
 // Tau, ProfitIf, and AppendMoveTasks — against the marking oracles, bit for
-// bit, on both the profile's own probe state and a fresh Evaluator. It
-// returns a description of the first disagreement, or "" when all agree.
+// bit, on the profile's own probe state, and a fresh Evaluator's
+// ProfitDeltas too. It returns a description of the first disagreement, or
+// "" when all agree.
 func probeMismatch(p *Profile) string {
 	ev := p.NewEvaluator()
 	for i, u := range p.inst.Users {
 		uid := UserID(i)
+		dp := make([]float64, len(u.Routes))
+		ev.ProfitDeltas(uid, dp)
 		for c := range u.Routes {
 			want := markingProfitDeltaIf(p, uid, c)
 			if got := p.ProfitDeltaIf(uid, c); math.Float64bits(got) != math.Float64bits(want) {
 				return fmt.Sprintf("ProfitDeltaIf(%d,%d) = %v, marking oracle %v", i, c, got, want)
 			}
-			if got := ev.ProfitDeltaIf(uid, c); math.Float64bits(got) != math.Float64bits(want) {
-				return fmt.Sprintf("Evaluator.ProfitDeltaIf(%d,%d) = %v, marking oracle %v", i, c, got, want)
+			if got := dp[c]; math.Float64bits(got) != math.Float64bits(want) {
+				return fmt.Sprintf("Evaluator.ProfitDeltas(%d)[%d] = %v, marking oracle %v", i, c, got, want)
 			}
 			if got := p.Tau(uid, c); math.Float64bits(got) != math.Float64bits(want/u.Alpha) {
 				return fmt.Sprintf("Tau(%d,%d) = %v, marking oracle %v", i, c, got, want/u.Alpha)
