@@ -426,3 +426,26 @@ func TestRandomProfileInRange(t *testing.T) {
 		}
 	}
 }
+
+// TestShiftShares checks the agents' share update: from the pair
+// MoveShares gives at a count, ShiftShares to any new count — one up, one
+// down, or a jump — is bit-identical to MoveShares at the new count,
+// starting from the agents' initial count −1 as well.
+func TestShiftShares(t *testing.T) {
+	s := rng.New(41)
+	for trial := 0; trial < 2000; trial++ {
+		tk := task.Task{A: s.Float64() * 20, Mu: s.Float64()}
+		old := s.IntRange(-1, 40)
+		n := old + s.IntRange(-1, 1)
+		if trial%4 == 0 {
+			n = s.IntRange(0, 60)
+		}
+		n = max(n, 0)
+		now, join := MoveShares(tk, old)
+		gotNow, gotJoin := ShiftShares(tk, old, n, now, join)
+		wantNow, wantJoin := MoveShares(tk, n)
+		if math.Float64bits(gotNow) != math.Float64bits(wantNow) || math.Float64bits(gotJoin) != math.Float64bits(wantJoin) {
+			t.Fatalf("%+v from %d to %d: (%v, %v), MoveShares (%v, %v)", tk, old, n, gotNow, gotJoin, wantNow, wantJoin)
+		}
+	}
+}

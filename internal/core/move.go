@@ -26,6 +26,21 @@ type MoveRoute[K Index] struct {
 // bit-identical to a profile's share caches at that count.
 func MoveShares(t task.Task, n int) (now, join float64) { return t.Share(n), t.Share(n + 1) }
 
+// ShiftShares returns MoveShares(t, n) given the pair (now, join) that
+// MoveShares gave at count old. A count that moved by one reuses one of
+// the pair — w(n)/n is the old join at n = old+1, and w(n+1)/(n+1) the old
+// now at n = old−1 — and Share is a pure function of the count, so the
+// result is bit-identical.
+func ShiftShares(t task.Task, old, n int, now, join float64) (float64, float64) {
+	switch n {
+	case old + 1:
+		return join, t.Share(n + 1)
+	case old - 1:
+		return t.Share(n), now
+	}
+	return MoveShares(t, n)
+}
+
 // Shares are the share caches the move kernel reads, indexed like the
 // routes' task entries: Now[k] = w_k(n_k)/n_k, held by a user on task k,
 // and Join[k] = w_k(n_k+1)/(n_k+1), the share of a user joining it, with

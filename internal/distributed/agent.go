@@ -280,13 +280,15 @@ func (a *Agent) buildView(in *wire.Init) error {
 
 // loadCounts copies a SlotInfo's participant counts into the dense view
 // and refreshes the share caches of the tasks whose count changed; a task
-// the SlotInfo omits counts zero.
+// the SlotInfo omits counts zero. Under PUU's disjoint B sets a count moves
+// by at most one between SlotInfos, so ShiftShares computes one share, not
+// two (the pair at the initial count −1, (0, 0), is MoveShares' too).
 func (a *Agent) loadCounts(si *wire.SlotInfo) {
 	for i, k := range a.taskIDs {
 		if n := si.Counts[k]; n != a.n[i] {
-			a.n[i] = n
 			p := a.params[i]
-			a.shares.Now[i], a.shares.Join[i] = core.MoveShares(task.Task{A: p.A, Mu: p.Mu}, n)
+			a.shares.Now[i], a.shares.Join[i] = core.ShiftShares(task.Task{A: p.A, Mu: p.Mu}, a.n[i], n, a.shares.Now[i], a.shares.Join[i])
+			a.n[i] = n
 		}
 	}
 }

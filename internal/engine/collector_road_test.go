@@ -42,6 +42,27 @@ func TestCollectorMatchesOracleRoad(t *testing.T) {
 	}
 }
 
+// TestCollectorLazyPUUMatchesExact is the differential proof of the bounded
+// PUU path: on every differential instance and the small road scenario,
+// with and without outside moves, each slot's winners, the stream state
+// after them and the final choices equal those of the exact path. The
+// road runs must certify requesters, or the bounded path went untested.
+func TestCollectorLazyPUUMatchesExact(t *testing.T) {
+	for n, in := range engine.DifferentialInstances() {
+		choices := core.RandomProfile(in, rng.New(uint64(n))).Choices()
+		for _, external := range []bool{false, true} {
+			engine.BoundedDifferential(t, in, choices, uint64(n), 400, external)
+		}
+	}
+	in, choices := smallRoad(t)
+	for seed, external := range []bool{false, true} {
+		slots, certified := engine.BoundedDifferential(t, in, choices, uint64(seed), 400, external)
+		if slots < 2 || certified == 0 {
+			t.Fatalf("road run (external %v): %d slots, %d certified requester-slots", external, slots, certified)
+		}
+	}
+}
+
 // TestRunIdenticalAcrossCollectModesRoad is TestRunIdenticalAcrossCollectModes
 // on the small road scenario: every collect mode and shard count gives the
 // same PUU run, slot for slot.
