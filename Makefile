@@ -45,16 +45,18 @@ chaos:
 soak-multinode:
 	$(GO) test -race -count=5 -timeout 600s ./internal/distributed/e2e
 
-# Short fuzz pass over the wire codec, the game-state evaluator, the agent's
-# best response against it, the PUU selection, the routing engine and the
-# scenario builder's coverage query (corpus + a few seconds of mutation per
-# target). Extend -fuzztime locally for deeper exploration.
+# Short fuzz pass over the wire codec, the game-state evaluator, the silence
+# tolerance against the skip rule, the agent's best response against the
+# evaluator, the PUU selection, the routing engine and the scenario
+# builder's coverage query (corpus + a few seconds of mutation per target).
+# Extend -fuzztime locally for deeper exploration.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzBinaryDecode -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzMuxFrames -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzProfileMoves -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzSilenceTolerance -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSelectPUU -fuzztime 5s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzAgentMatchesCore -fuzztime 5s ./internal/distributed
 	$(GO) test -run '^$$' -fuzz FuzzShortestPathEquivalence -fuzztime 5s ./internal/roadnet

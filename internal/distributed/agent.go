@@ -65,6 +65,9 @@ type Agent struct {
 	dp    []float64
 	delta []int
 	b     []int32
+	// skip is this user's skip bound, computed from its own weights and
+	// routes, which turns an empty Δ_i into the Request's tolerance.
+	skip core.SkipBound
 
 	current  int
 	proposed int
@@ -269,6 +272,8 @@ func (a *Agent) buildView(in *wire.Init) error {
 		walk[c] = a.routes[c].Tasks
 	}
 	a.masks = core.NewRouteMasks(walk, len(ids))
+	a.skip = core.NewSkipBound(core.NewWatchScan(len(ids)), a.cfg.Alpha, a.cfg.Beta, a.cfg.Gamma, a.routes,
+		func(i int32) task.Task { return task.Task{A: a.params[i].A, Mu: a.params[i].Mu} })
 	a.n = make([]int, len(ids))
 	for i := range a.n {
 		a.n[i] = -1
@@ -335,6 +340,9 @@ func (a *Agent) handleSlot(si *wire.SlotInfo) error {
 		}
 	} else {
 		a.proposed = -1
+		// No move: tell the platform how much share drift this answer
+		// survives, so it need not ask again until that much piles up.
+		req.Tolerance = a.skip.Tolerance(core.Gap(a.dp, a.current))
 	}
 	return a.send(&wire.Message{Kind: wire.KindRequest, Request: req})
 }

@@ -17,7 +17,8 @@ import (
 // agentCoreMismatch hands every user of p's instance the Init and SlotInfo
 // the platform sends at p, and compares the agent with the profile: Δ_i
 // must equal BestResponseSet, the Request's B must equal AppendMoveTasks
-// for the proposed route, and ΔP_i/α_i of every route, the τ a request
+// for the proposed route, a no-move Request's tolerance must equal the
+// engine's, and ΔP_i/α_i of every route, the τ a request
 // for it carries, is compared with Tau bit for bit. It returns the number of routes
 // whose τ bits differ, the number of routes compared, and the first Δ_i,
 // request or B mismatch.
@@ -50,6 +51,22 @@ func agentCoreMismatch(p *core.Profile, seed uint64) (tauDiffs, probes int, err 
 			return tauDiffs, probes, fmt.Errorf("user %d: request HasUpdate %v with core Δ %v", u, req.HasUpdate, want)
 		}
 		if !req.HasUpdate {
+			// A no-move answer carries the tolerance the engine's collector
+			// would compute: its skip bound over the instance's routes and
+			// the gap of the profile's own ΔP_i.
+			routes := make([]core.MoveRoute[task.ID], len(usr.Routes))
+			dps := make([]float64, len(usr.Routes))
+			for c, r := range usr.Routes {
+				routes[c] = core.MoveRoute[task.ID]{Tasks: r.Tasks, Detour: in.DetourCost(r), Congestion: in.CongestionCost(r)}
+				if c != p.Choice(i) {
+					dps[c] = p.ProfitDeltaIf(i, c)
+				}
+			}
+			b := core.NewSkipBound(core.NewWatchScan(in.NumTasks()), usr.Alpha, usr.Beta, usr.Gamma, routes,
+				func(k task.ID) task.Task { return in.Tasks[k] })
+			if want := b.Tolerance(core.Gap(dps, p.Choice(i))); req.Tolerance != want {
+				return tauDiffs, probes, fmt.Errorf("user %d: request tolerance %d, engine's %d", u, req.Tolerance, want)
+			}
 			continue
 		}
 		// The request carries the τ counted above: the agent's own ΔP_i/α_i.

@@ -77,6 +77,9 @@ type ChaosStats struct {
 	Faults map[FaultKind]int
 	// Nodes holds each shard's own view of the run.
 	Nodes []NodeStats
+	// Transcript is the run's global selection transcript (see
+	// FederatedStats.Transcript).
+	Transcript string
 }
 
 // RunChaos runs the full distributed protocol in-process under seeded fault
@@ -195,7 +198,7 @@ func runChaos(in *core.Instance, opts ChaosOptions) (ChaosStats, error) {
 		}
 	}
 	wg.Wait()
-	stats.RunStats, stats.Nodes = fs.RunStats, fs.Nodes
+	stats.RunStats, stats.Nodes, stats.Transcript = fs.RunStats, fs.Nodes, fs.Transcript
 	mu.Lock()
 	stats.Restarts = restarts
 	mu.Unlock()

@@ -113,7 +113,9 @@ func TestChaosFederatedTransientFaults(t *testing.T) {
 // shards mid-protocol; each shard must resync its own restarted agents
 // and the federation must still land on a zero-gap equilibrium.
 func TestChaosFederatedCrashReconnect(t *testing.T) {
-	crash := map[int]int{0: 11, 5: 17, 9: 25}
+	// Silent agents make few link operations, so users 0 and 9 crash
+	// early enough to fire in every seed (9 right after its slot-1 answer).
+	crash := map[int]int{0: 7, 5: 17, 9: 6}
 	for seed := uint64(21); seed <= 23; seed++ {
 		in := randomInstance(800+seed, 10, 12)
 		tr, checkAnomalies := newArmedTracer(t, seed, "federated/crash")
@@ -147,7 +149,7 @@ func TestChaosFederatedDeterministicPerSeed(t *testing.T) {
 		AgentSeedBase: 88,
 		Seed:          777,
 		AgentProfile:  FaultProfile{SendErrProb: 0.03, RecvErrProb: 0.03, DupProb: 0.1},
-		CrashAgents:   map[int]int{3: 13, 8: 21},
+		CrashAgents:   map[int]int{3: 13, 8: 9},
 		Shards:        3,
 	}
 	run := func() ChaosStats {

@@ -5,11 +5,13 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // assertChaosInvariants checks every load-bearing guarantee of the protocol
@@ -122,7 +124,10 @@ func TestChaosTransientFaultsConverge(t *testing.T) {
 // Recv failures, and the run must still reach a zero-gap equilibrium with
 // the potential ascending throughout.
 func TestChaosCrashReconnectConverges(t *testing.T) {
-	crash := map[int]int{1: 9, 4: 23, 7: 31}
+	// Crash points count link operations. Silent agents make few, so the
+	// points sit where each agent is still active in every seed: user 1
+	// on its slot-1 Request, user 4 around its first grant, user 7 mid-run.
+	crash := map[int]int{1: 5, 4: 9, 7: 14}
 	for seed := uint64(11); seed <= 13; seed++ {
 		in := randomInstance(7, 10, 14)
 		stats, err := RunChaos(in, ChaosOptions{
@@ -151,6 +156,132 @@ func TestChaosCrashReconnectConverges(t *testing.T) {
 	}
 }
 
+// agentOp is one message an agent sent or received, as logged by opLog.
+type agentOp struct {
+	sent     bool
+	kind     wire.Kind
+	slot     int
+	tolerant bool // a Request with no move, carrying a tolerance
+}
+
+// opLog records, below the fault layer, every message on one agent's end
+// of its link: in a run without transient faults or platform-side
+// duplicates, entry j is the agent's link operation j+1, which is what
+// ChaosOptions.CrashAgents counts.
+type opLog struct {
+	Conn
+	mu  *sync.Mutex
+	ops *[]agentOp
+}
+
+func (c *opLog) record(sent bool, m *wire.Message) {
+	op := agentOp{sent: sent, kind: m.Kind}
+	switch m.Kind {
+	case wire.KindSlotInfo:
+		op.slot = m.SlotInfo.Slot
+	case wire.KindRequest:
+		op.slot, op.tolerant = m.Request.Slot, !m.Request.HasUpdate
+	}
+	c.mu.Lock()
+	*c.ops = append(*c.ops, op)
+	c.mu.Unlock()
+}
+
+func (c *opLog) Send(m *wire.Message) error {
+	c.record(true, m)
+	return c.Conn.Send(m)
+}
+
+func (c *opLog) Recv() (*wire.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil {
+		c.record(false, m)
+	}
+	return m, err
+}
+
+// TestChaosSilentAgentCrash crashes agents while they are silent: each
+// answered "no move" with a tolerance, and its link fails on the very next
+// receive, so it restarts at once and sends Hello{Resume} that the
+// platform reads only when it next contacts the agent (one crash) or never,
+// sending Terminate instead (the other). A clean DET run picks the crash
+// points; the crashed runs, one also duplicating every second agent send
+// (Requests with tolerances among them), must converge to Nash with the
+// clean run's transcript.
+func TestChaosSilentAgentCrash(t *testing.T) {
+	in := randomInstance(7, 10, 14)
+	opts := ChaosOptions{Platform: PlatformConfig{Policy: Deterministic, Seed: 1}, Deterministic: true, Seed: 5}
+	logs := make([][]agentOp, in.NumUsers())
+	var mu sync.Mutex
+	logged := func(log [][]agentOp) func(int) (Conn, Conn, error) {
+		return func(u int) (Conn, Conn, error) {
+			pc, ac := ChanPair(64)
+			return pc, &opLog{Conn: ac, mu: &mu, ops: &log[u]}, nil
+		}
+	}
+	opts.Links = logged(logs)
+	clean, err := RunChaos(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A silent crash point is the receive after a tolerant Request, when
+	// the next message is a SlotInfo at least two slots on (the platform
+	// contacts the agent again) or the Terminate after at least one
+	// silent slot.
+	crash := map[int]int{}
+	var recontact, never bool
+	for u, ops := range logs {
+		for j := 0; j+1 < len(ops) && crash[u] == 0; j++ {
+			req, next := ops[j], ops[j+1]
+			if !req.sent || !req.tolerant {
+				continue
+			}
+			switch {
+			case !recontact && next.kind == wire.KindSlotInfo && next.slot >= req.slot+2:
+				recontact, crash[u] = true, j+2
+			case !never && next.kind == wire.KindTerminate && req.slot <= clean.Slots:
+				never, crash[u] = true, j+2
+			}
+		}
+	}
+	if !recontact || !never {
+		t.Fatalf("clean run offers no silent crash point (recontact %v, until terminate %v)", recontact, never)
+	}
+	for _, dup := range []float64{0, 0.5} {
+		desc := fmt.Sprintf("silent crash, agent dup %g", dup)
+		run := opts
+		run.CrashAgents = crash
+		run.AgentProfile = FaultProfile{DupProb: dup}
+		dupLogs := make([][]agentOp, in.NumUsers())
+		run.Links = logged(dupLogs)
+		stats, err := RunChaos(in, run)
+		if err != nil {
+			t.Fatalf("%s: %v", desc, err)
+		}
+		assertChaosInvariants(t, in, stats, run.Seed, desc)
+		if stats.Restarts != len(crash) || stats.Faults[FaultDisconnect] != len(crash) {
+			t.Fatalf("%s: %d restarts, %d disconnects for %d scheduled crashes %v",
+				desc, stats.Restarts, stats.Faults[FaultDisconnect], len(crash), crash)
+		}
+		if stats.Transcript != clean.Transcript {
+			t.Fatalf("%s: transcript differs from the clean run's\n%s\nclean:\n%s", desc, stats.Transcript, clean.Transcript)
+		}
+		if dup > 0 {
+			dups := 0
+			for _, ops := range dupLogs {
+				for j := 1; j < len(ops); j++ {
+					if ops[j].sent && ops[j].tolerant && ops[j-1] == ops[j] {
+						dups++
+					}
+				}
+			}
+			if dups == 0 {
+				t.Fatalf("%s: no Request with a tolerance was duplicated", desc)
+			}
+		}
+	}
+}
+
 // TestChaosDeterministicPerSeed replays the same fully-loaded chaos run
 // twice and demands bit-identical outcomes: choices, slot count, restart
 // count, fault tallies, and the whole potential trace.
@@ -162,7 +293,7 @@ func TestChaosDeterministicPerSeed(t *testing.T) {
 		Seed:            4242,
 		AgentProfile:    FaultProfile{SendErrProb: 0.03, RecvErrProb: 0.03, DupProb: 0.1},
 		PlatformProfile: FaultProfile{SendErrProb: 0.01, DupProb: 0.05},
-		CrashAgents:     map[int]int{2: 11, 5: 19},
+		CrashAgents:     map[int]int{2: 5, 5: 19},
 	}
 	run := func() ChaosStats {
 		stats, err := RunChaos(in, opts)

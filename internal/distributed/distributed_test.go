@@ -119,6 +119,14 @@ func TestStatsConsistency(t *testing.T) {
 	if len(stats.SelectedPerSlot) != stats.Slots {
 		t.Errorf("SelectedPerSlot len %d != Slots %d", len(stats.SelectedPerSlot), stats.Slots)
 	}
+	if len(stats.ContactedPerSlot) != stats.Slots {
+		t.Errorf("ContactedPerSlot len %d != Slots %d", len(stats.ContactedPerSlot), stats.Slots)
+	}
+	for i, c := range stats.ContactedPerSlot {
+		if req := stats.RequestsPerSlot[i]; req > c || c > in.NumUsers() {
+			t.Errorf("slot %d: %d requests, %d contacted, %d served users", i+1, req, c, in.NumUsers())
+		}
+	}
 	total := 0
 	for i, sel := range stats.SelectedPerSlot {
 		if sel < 1 {
@@ -501,9 +509,9 @@ func TestMessageAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := in.NumUsers()
-	// Lower bounds: init (1 Init + 1 SlotInfo per user per slot + final
-	// Terminate) dominate; at minimum the platform sent Init and Terminate
-	// to every user and one SlotInfo round.
+	// The platform sends every user one Init and one Terminate, and in
+	// each slot one SlotInfo per contacted user and a Grant per winner;
+	// every user is contacted in slot 1, whose requests open slot 2.
 	if stats.MessagesSent < 3*n {
 		t.Errorf("MessagesSent = %d, expected at least %d", stats.MessagesSent, 3*n)
 	}
@@ -515,6 +523,37 @@ func TestMessageAccounting(t *testing.T) {
 	maxExpected := (stats.Slots + 3) * n * 3
 	if stats.MessagesSent > maxExpected {
 		t.Errorf("MessagesSent = %d, above linear bound %d", stats.MessagesSent, maxExpected)
+	}
+
+	// Certified silence must pay: a seeded PUU run sends strictly fewer
+	// SlotInfos than one per user per decision slot, and its totals match
+	// the per-slot contact counts exactly (a Request per SlotInfo).
+	in = randomInstance(10, 40, 30)
+	n = in.NumUsers()
+	var slotInfos int
+	stats, err = RunInProcess(in, InProcessOptions{
+		Platform: PlatformConfig{Policy: PUU, Seed: 2, Observer: func(o Observation) {
+			slotInfos += o.Contacted
+		}},
+		AgentSeedBase: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Slots < 2 {
+		t.Fatalf("degenerate PUU run of %d slots", stats.Slots)
+	}
+	// The terminating slot is not observed: its SlotInfos are the
+	// messages beyond Init, the observed SlotInfos, Grants and Terminate.
+	last := stats.MessagesSent - 2*n - slotInfos - stats.TotalUpdates
+	if last < 1 || last > n {
+		t.Fatalf("sent %d: %d SlotInfos in the terminating slot", stats.MessagesSent, last)
+	}
+	if recv := 2*n + slotInfos + last + stats.TotalUpdates; stats.MessagesReceived != recv {
+		t.Errorf("MessagesReceived = %d, want %d", stats.MessagesReceived, recv)
+	}
+	if total := slotInfos + last; total >= stats.Slots*n {
+		t.Errorf("%d SlotInfos in %d slots of %d users: silence saved nothing", total, stats.Slots, n)
 	}
 }
 

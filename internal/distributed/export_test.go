@@ -5,6 +5,13 @@ import (
 	"repro/internal/wire"
 )
 
+// WithSilenceHook returns cfg with a hook that receives every decision
+// slot's silent users (global IDs) before its SlotInfos go out.
+func WithSilenceHook(cfg PlatformConfig, fn func(slot int, silent []int)) PlatformConfig {
+	cfg.onSilence = fn
+	return cfg
+}
+
 // TaskUnions exposes taskUnions to the external tests.
 func TaskUnions(in *core.Instance, users []int) [][]int32 { return taskUnions(in, users) }
 

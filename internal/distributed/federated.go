@@ -25,9 +25,10 @@ type ShardObservation struct {
 	// Slot is the decision slot the observation closes.
 	Slot int
 	// Requests and Granted count this shard's update requests and granted
-	// updates in the slot.
-	Requests int
-	Granted  int
+	// updates in the slot; Contacted its users sent a SlotInfo.
+	Requests  int
+	Contacted int
+	Granted   int
 	// Epoch is the shard's gossip epoch after the round's flush.
 	Epoch int
 	// PeerLag[p] is how many gossip epochs shard p's ingested state lags
@@ -219,9 +220,11 @@ func mergeNodeStats(nodes []NodeStats, part federation.Partition) RunStats {
 			if i == len(rs.RequestsPerSlot) {
 				rs.RequestsPerSlot = append(rs.RequestsPerSlot, 0)
 				rs.SelectedPerSlot = append(rs.SelectedPerSlot, 0)
+				rs.ContactedPerSlot = append(rs.ContactedPerSlot, 0)
 			}
 			rs.RequestsPerSlot[i] += req
 			rs.SelectedPerSlot[i] += ns.SelectedPerSlot[i]
+			rs.ContactedPerSlot[i] += ns.ContactedPerSlot[i]
 		}
 		rs.TotalUpdates += ns.TotalUpdates
 		rs.MessagesSent += ns.MessagesSent

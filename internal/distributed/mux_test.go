@@ -107,7 +107,7 @@ func TestMuxChaosDeterministicPerSeed(t *testing.T) {
 			Seed:            2424,
 			AgentProfile:    FaultProfile{SendErrProb: 0.03, RecvErrProb: 0.03, DupProb: 0.1},
 			PlatformProfile: FaultProfile{SendErrProb: 0.01, DupProb: 0.05},
-			CrashAgents:     map[int]int{2: 11, 5: 19},
+			CrashAgents:     map[int]int{2: 11, 5: 11},
 			Links:           links,
 		})
 		if err != nil {

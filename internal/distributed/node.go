@@ -489,16 +489,18 @@ func (f *nodeRun) slotLoop(startSlot int) error {
 		f.stats.Slots = slot
 		f.stats.RequestsPerSlot = append(f.stats.RequestsPerSlot, len(own))
 		f.stats.SelectedPerSlot = append(f.stats.SelectedPerSlot, len(ownWinners))
+		f.stats.ContactedPerSlot = append(f.stats.ContactedPerSlot, len(plat.contacts))
 		f.stats.TotalUpdates += len(ownWinners)
 		plat.observe(slot, len(merged), winners, elapsed)
 		if f.opts.ShardObserver != nil {
 			f.opts.ShardObserver(ShardObservation{
-				Shard:    self,
-				Slot:     slot,
-				Requests: len(own),
-				Granted:  len(ownWinners),
-				Epoch:    f.st.Epoch(),
-				PeerLag:  f.st.PeerLag(),
+				Shard:     self,
+				Slot:      slot,
+				Requests:  len(own),
+				Contacted: len(plat.contacts),
+				Granted:   len(ownWinners),
+				Epoch:     f.st.Epoch(),
+				PeerLag:   f.st.PeerLag(),
 			})
 		}
 		if f.opts.PeerObserver != nil {

@@ -42,6 +42,9 @@ type Observation struct {
 	Slot int
 	// Requests is the number of update requests received this slot.
 	Requests int
+	// Contacted is the number of users sent a SlotInfo this slot; the
+	// others were silent, their last answer certified to stand.
+	Contacted int
 	// Granted is the number of granted updates this slot.
 	Granted int
 	// GrantedUsers lists the users whose updates were granted, in grant
@@ -84,6 +87,11 @@ type PlatformConfig struct {
 	// computed on an incremental core.Profile, and transport spans per
 	// link. nil disables tracing at zero cost.
 	Tracer *tracing.Tracer
+
+	// onSilence, when non-nil, receives every decision slot's silent
+	// users (global IDs, ascending) before the slot's SlotInfos go out.
+	// The silence soundness tests check each against an exact probe.
+	onSilence func(slot int, silent []int)
 }
 
 // RunStats summarizes a completed distributed run.
@@ -93,9 +101,11 @@ type RunStats struct {
 	Choices      []int
 	TotalUpdates int
 	// RequestsPerSlot and SelectedPerSlot record per-slot contention and
-	// batch sizes (SelectedPerSlot feeds Table 3).
-	RequestsPerSlot []int
-	SelectedPerSlot []int
+	// batch sizes (SelectedPerSlot feeds Table 3); ContactedPerSlot the
+	// users sent a SlotInfo, which bounds the requests from above.
+	RequestsPerSlot  []int
+	SelectedPerSlot  []int
+	ContactedPerSlot []int
 	// MessagesSent and MessagesReceived count the platform-side traffic
 	// over the whole run — the communication cost of the protocol.
 	MessagesSent, MessagesReceived int
@@ -131,7 +141,20 @@ type Platform struct {
 
 	store   *federation.Store
 	view    []int // per-slot snapshot of store counts
+	prev    []int // the snapshot before view
 	choices []int
+	// Certified silence: drift[li] sums, in core.DriftUnit, the share
+	// drift of the tasks user li watches since its last answer, and
+	// tol[li] is the drift up to which that answer — no move — provably
+	// stands. A user is sent a SlotInfo only when drift[li] > tol[li];
+	// core.DriftInf marks a user that must be asked (first slot,
+	// requester, mover, reconnected agent). Task k's watchers among the
+	// served users are watch[watchOff[k]:watchOff[k+1]], as indices li.
+	drift    []uint64
+	tol      []uint64
+	watchOff []int32
+	watch    []int32
+	contacts []int // this slot's contacted li, ascending
 	// inited[u] is set once user u's initial decision is applied; until
 	// then a reconnecting agent is re-sent Init with CurrentRoute -1 so it
 	// decides afresh instead of trusting a zero-valued record.
@@ -157,6 +180,21 @@ type Platform struct {
 	// lastRequests carries the request count from collectRequests to the
 	// span finish in commitSlot.
 	lastRequests int
+}
+
+// pushDrift adds, for every task whose count moved between the last two
+// snapshots, its share drift to the drift of the served users watching it.
+func (p *Platform) pushDrift() {
+	for k, n1 := range p.view {
+		n0 := p.prev[k]
+		if n0 == n1 {
+			continue
+		}
+		q := core.ShareDrift(p.in.Tasks[k], n0, n1)
+		for _, li := range p.watch[p.watchOff[k]:p.watchOff[k+1]] {
+			p.drift[li] = core.AddSat(p.drift[li], q)
+		}
+	}
 }
 
 // send stamps the current trace context onto m and sends it to the agent
@@ -314,6 +352,7 @@ func (p *Platform) expect(li int, kind wire.Kind, inSlot int, regrant bool) (*wi
 			}
 			p.tel.reconnects.Inc()
 			p.tr.RecordReconnect(p.traceCtx, u, inSlot)
+			p.drift[li] = core.DriftInf // its next answer must be fresh
 			cur := -1
 			if p.inited[u] {
 				cur = p.choices[u]
@@ -391,23 +430,43 @@ func (p *Platform) runInit() error {
 	return nil
 }
 
-// collectRequests opens decision slot `slot` for every served user: it
-// snapshots the count store, broadcasts SlotInfo views, and gathers one
-// Request per user, returning the improvement requests (Algorithm 2 lines
-// 5–7). The slot's tracing span stays open until commitSlot or terminate.
+// collectRequests opens decision slot `slot` for the served users: it
+// snapshots the count store, sends a SlotInfo view to every user whose
+// last answer may no longer stand, and gathers their Requests, returning
+// the improvement requests (Algorithm 2 lines 5–7). A user left silent
+// answered "no move" with a tolerance its watched tasks' share drift has
+// not yet passed, so its Δ_i is still empty and it would request nothing
+// (ALGORITHMS.md, "Certified silence"). The slot's tracing span stays open
+// until commitSlot or terminate.
 func (p *Platform) collectRequests(slot int) ([]engine.Request, error) {
 	span := p.tr.StartSpan(p.tr.StartTrace(), tracing.KindSlot, -1, slot)
 	p.traceCtx = span.Context()
 	p.slotSpan = span
-	p.view = p.store.View(p.view)
+	p.prev, p.view = p.view, p.store.View(p.prev)
+	p.pushDrift()
+	p.contacts = p.contacts[:0]
+	for li, d := range p.drift {
+		if d > p.tol[li] {
+			p.contacts = append(p.contacts, li)
+		}
+	}
+	if p.cfg.onSilence != nil {
+		silent := make([]int, 0, len(p.users)-len(p.contacts))
+		for li, d := range p.drift {
+			if d <= p.tol[li] {
+				silent = append(silent, p.users[li])
+			}
+		}
+		p.cfg.onSilence(slot, silent)
+	}
 	rtSpan := telemetry.StartSpan(p.tel.slotRoundtrip)
-	for li := range p.conns {
+	for _, li := range p.contacts {
 		if err := p.send(li, p.slotMsg(li, slot)); err != nil {
 			return nil, err
 		}
 	}
 	var requests []engine.Request
-	for li := range p.conns {
+	for _, li := range p.contacts {
 		m, err := p.expect(li, wire.KindRequest, slot, false)
 		if err != nil {
 			return nil, err
@@ -416,17 +475,20 @@ func (p *Platform) collectRequests(slot int) ([]engine.Request, error) {
 		if r.Slot != slot {
 			return nil, fmt.Errorf("distributed: user %d replied for slot %d in slot %d", p.users[li], r.Slot, slot)
 		}
-		if r.HasUpdate {
-			// SelectPUU marks B's tasks in a slice indexed by task ID.
-			for _, k := range r.B {
-				if k < 0 || k >= p.in.NumTasks() {
-					return nil, fmt.Errorf("distributed: user %d requested task %d outside [0,%d)", p.users[li], k, p.in.NumTasks())
-				}
-			}
-			requests = append(requests, engine.Request{
-				User: core.UserID(p.users[li]), Route: r.Route, Tau: r.Tau, B: r.B,
-			})
+		if !r.HasUpdate {
+			p.drift[li], p.tol[li] = 0, r.Tolerance
+			continue
 		}
+		p.drift[li] = core.DriftInf // a requester is asked every slot
+		// SelectPUU marks B's tasks in a slice indexed by task ID.
+		for _, k := range r.B {
+			if k < 0 || k >= p.in.NumTasks() {
+				return nil, fmt.Errorf("distributed: user %d requested task %d outside [0,%d)", p.users[li], k, p.in.NumTasks())
+			}
+		}
+		requests = append(requests, engine.Request{
+			User: core.UserID(p.users[li]), Route: r.Route, Tau: r.Tau, B: r.B,
+		})
 	}
 	rtSpan.End()
 	p.tel.requests.Add(uint64(len(requests)))
@@ -504,11 +566,12 @@ func (p *Platform) observe(slot, requests int, winners []engine.Request, elapsed
 		return
 	}
 	o := Observation{
-		Slot:     slot,
-		Requests: requests,
-		Granted:  len(winners),
-		Choices:  append([]int(nil), p.choices...),
-		Elapsed:  elapsed,
+		Slot:      slot,
+		Requests:  requests,
+		Contacted: len(p.contacts),
+		Granted:   len(winners),
+		Choices:   append([]int(nil), p.choices...),
+		Elapsed:   elapsed,
 	}
 	if len(winners) > 0 {
 		o.GrantedUsers = make([]int, len(winners))

@@ -31,13 +31,6 @@ var (
 // force either path.
 var collectParallelMin = 96
 
-// driftUnit is the fixed-point unit of the per-user drift counters: 2^-32
-// profit-share units, so drift sums are exact integer additions.
-const driftUnit = 0x1p-32
-
-// driftInf marks a drift too large to bound; it forces a re-probe.
-const driftInf = math.MaxUint64
-
 // collector gathers one run's update requests slot after slot (Algorithm 1
 // lines 10–14). It keeps every user's last exact probe — ΔP_i(c) for each
 // route c, and the best response set Δ_i drawn from it — and, between
@@ -85,7 +78,7 @@ type collector struct {
 	delta  []int32   // delta[off[i] : off[i]+nd[i]] = Δ_i at the last probe
 	nd     []int32
 	gap    []float64 // max_c ΔP_i(c) at the last probe
-	drift  []uint64  // Σ of watched share changes since the last probe, in driftUnit
+	drift  []uint64  // Σ of watched share changes since the last probe, in core.DriftUnit
 	choice []int32   // choices at the last collection
 	count  []int32   // task counts at the last collection
 
@@ -102,15 +95,14 @@ type collector struct {
 	// Built on the second collection: task k's watcher class class[k],
 	// the watch index of the classes, split by shard — the watchers of
 	// class l that shard w owns are
-	// watch[split[l·(W+1)+w] : split[l·(W+1)+w+1]] — each user's rounding
-	// slack and static magnitude, and per-task and per-class scratch.
+	// watch[split[l·(W+1)+w] : split[l·(W+1)+w+1]] — each user's skip
+	// bound, and per-task and per-class scratch.
 	class  []int32
 	split  []int32
 	watch  []int32
-	slack  []float64
-	mag    []float64
+	skip   []core.SkipBound
 	was    []int32  // count before this sync, or -1 when untouched
-	classQ []uint64 // this sync's summed shareDrift of each class, 0 if none
+	classQ []uint64 // this sync's summed core.ShareDrift of each class, 0 if none
 
 	b      [][]int // cached B_i of requesters, exact-size
 	bRoute []int32 // the route b[i] was built for
@@ -211,7 +203,7 @@ func (c *collector) key(j int, r *Request) puuKey {
 		r.Tau = d / alpha
 		return puuKey{r.delta(), int32(j), true}
 	}
-	x := c.spread(int32(i), c.drift[i]) + c.slack[i]
+	x := c.skip[i].Spread(c.drift[i]) + c.skip[i].Slack
 	hi := (d + x) / alpha
 	if alpha < 0 {
 		hi = (d - x) / alpha
@@ -287,7 +279,7 @@ func (c *collector) start(p *core.Profile) int {
 		c.off[i+1] = c.off[i] + int32(len(u.Routes))
 		c.choice[i] = int32(p.Choice(core.UserID(i)))
 		if len(u.Routes) > 1 {
-			c.drift[i] = driftInf
+			c.drift[i] = core.DriftInf
 			marked++
 		}
 	}
@@ -330,7 +322,7 @@ func (c *collector) sync() int {
 		}
 		c.choice[i] = now
 		c.b[i] = nil
-		c.drift[i] = driftInf // always re-probe a mover
+		c.drift[i] = core.DriftInf // always re-probe a mover
 		work++
 	}
 	c.clearDrift()
@@ -338,7 +330,7 @@ func (c *collector) sync() int {
 		n0, n1 := int(c.was[k]), int(c.count[k])
 		c.was[k] = -1
 		if n0 != n1 {
-			c.addDrift(k, shareDrift(in.Tasks[k], n0, n1))
+			c.addDrift(k, core.ShareDrift(in.Tasks[k], n0, n1))
 		}
 	}
 	stride := len(c.bound)
@@ -357,7 +349,7 @@ func (c *collector) addDrift(k int32, q uint64) {
 	if c.classQ[l] == 0 {
 		c.changed = append(c.changed, l)
 	}
-	c.classQ[l] = addSat(c.classQ[l], q)
+	c.classQ[l] = core.AddSat(c.classQ[l], q)
 }
 
 // clearDrift forgets the last sync's class drift once its pass has pushed
@@ -367,14 +359,6 @@ func (c *collector) clearDrift() {
 		c.classQ[l] = 0
 	}
 	c.changed = c.changed[:0]
-}
-
-// addSat is a + b, or driftInf when the sum overflows.
-func addSat(a, b uint64) uint64 {
-	if s := a + b; s >= b {
-		return s
-	}
-	return driftInf
 }
 
 // pass runs every shard once: inline below collectParallelMin units of
@@ -409,12 +393,13 @@ func (c *collector) shard(w int) {
 		if d == 0 {
 			continue // reuse: a fresh probe would be bit-identical
 		}
-		if d != driftInf {
-			x := c.spread(i, d)
-			if x <= c.mag[i] && c.gap[i]+x <= core.Eps-c.slack[i] {
+		if d != core.DriftInf {
+			b := &c.skip[i]
+			x := b.Spread(d)
+			if b.QuietAt(c.gap[i], x) {
 				continue // Δ_i = ∅ still, and already cached as such
 			}
-			if c.certify && c.certified(i, x+c.slack[i]) {
+			if c.certify && c.certified(i, x+b.Slack) {
 				continue // Δ_i = {c*} still; ΔP_i(c*) known to within X_i
 			}
 		}
@@ -431,15 +416,9 @@ func (c *collector) push(w int) {
 	for _, l := range c.changed {
 		q, s := c.classQ[l], int(l)*stride+w
 		for _, u := range c.watch[c.split[s]:c.split[s+1]] {
-			c.drift[u] = addSat(c.drift[u], q)
+			c.drift[u] = core.AddSat(c.drift[u], q)
 		}
 	}
-}
-
-// spread is α_i·drift_i for a finite drift d: how far the exact value of
-// any ΔP_i(c) can have moved since user i's last probe.
-func (c *collector) spread(i int32, d uint64) float64 {
-	return math.Abs(c.in.Users[i].Alpha) * (float64(d) * driftUnit)
 }
 
 // certified reports whether user i's cached Δ_i = {c*} holds for every
@@ -466,93 +445,42 @@ func (c *collector) certified(i int32, x float64) bool {
 	return true
 }
 
-// shareDrift bounds, in driftUnit and rounded up, how far task k's two
-// cached shares w_k(n)/n and w_k(n+1)/(n+1) move when its count goes from
-// n0 to n1. The margin of 2^-48 of the shares' magnitude covers the
-// rounding of the subtractions and any last-bit difference between
-// task.Share and the profile's memoized shares. It is never 0.
-func shareDrift(t task.Task, n0, n1 int) uint64 {
-	now0, now1 := t.Share(n0), t.Share(n1)
-	join0, join1 := t.Share(n0+1), t.Share(n1+1)
-	d := max(math.Abs(now1-now0), math.Abs(join1-join0)) +
-		(math.Abs(now0)+math.Abs(now1)+math.Abs(join0)+math.Abs(join1))*0x1p-48
-	x := d / driftUnit
-	if !(x < 0x1p62) { // also catches NaN
-		return driftInf
-	}
-	return uint64(x) + 1
-}
-
 // probeUser caches ΔP_i(c) for every route c of user i, and Δ_i computed
 // from them by core's Δ_i rule, as core's BestResponseSet does.
 func (c *collector) probeUser(ev *core.Evaluator, i int32) {
 	lo, hi, cur := c.off[i], c.off[i+1], int(c.choice[i])
 	dp := c.dp[lo:hi]
 	ev.ProfitDeltas(core.UserID(i), dp)
-	gap := math.Inf(-1)
-	for r, d := range dp {
-		if r != cur {
-			gap = max(gap, d) // NaN sticks, and a NaN gap never skips
-		}
-	}
 	delta := core.BestResponseSetOf(c.delta[lo:lo:hi], dp, cur)
 	c.nd[i] = int32(len(delta))
-	c.gap[i] = gap
+	c.gap[i] = core.Gap(dp, cur)
 	c.drift[i] = 0
 }
 
-// buildIndex builds the watch index and every user's rounding slack. For
-// user i, with w_i watched task slots, it takes the static magnitude
-//
-//	M_i = α_i·Σ_watched (|a_k|+|µ_k|) + 2β_i·max_r d(r) + 2γ_i·max_r b(r),
-//
-// which bounds |ΔP_i(c)| for every c (a share is at most |a_k|+|µ_k|,
-// because ln q ≤ q), and the slack γ_n·(M_i+Eps) with n = 2w_i+16, which
-// bounds, per route, the rounding of two probes and of the skip and
-// certification tests. Each task's watchers are listed in user order, with a user as often as one of
-// its routes lists the task; tasks with identical lists share one watcher
-// class and one copy of the list, so shard w's watchers of a class are one
-// run of it, whose offsets are fixed here, once.
+// buildIndex builds the watch index (core.WatchIndex: each task's
+// watchers in user order, a user as often as one of its routes lists the
+// task) and every user's skip bound (core.NewSkipBound). Tasks with
+// identical watcher lists share one watcher class and one copy of the
+// list, so shard w's watchers of a class are one run of it, whose offsets
+// are fixed here, once.
 func (c *collector) buildIndex() {
 	in := c.in
 	nt := len(in.Tasks)
-	off := make([]int32, nt+1) // task k's watchers are watch[off[k]:off[k+1]]
-	c.slack = make([]float64, len(in.Users))
-	c.mag = make([]float64, len(in.Users))
+	off, watch := core.WatchIndex(in, nil) // task k's watchers are watch[off[k]:off[k+1]]
+	c.skip = make([]core.SkipBound, len(in.Users))
 	c.was = make([]int32, nt)
 	for k := range c.was {
 		c.was[k] = -1
 	}
-	w := newWatchScan(nt)
+	w := core.NewWatchScan(nt)
+	var routes []core.MoveRoute[task.ID]
 	for i := range in.Users {
 		u := &in.Users[i]
-		var sum, slots float64
-		w.scan(u, func(k task.ID, m int32) {
-			off[k+1] += m
-			t := in.Tasks[k]
-			sum += float64(m) * (math.Abs(t.A) + math.Abs(t.Mu))
-			slots += float64(m)
-		})
-		var maxD, maxC float64
+		routes = routes[:0]
 		for _, r := range u.Routes {
-			maxD = max(maxD, math.Abs(in.DetourCost(r)))
-			maxC = max(maxC, math.Abs(in.CongestionCost(r)))
+			routes = append(routes, core.MoveRoute[task.ID]{Tasks: r.Tasks, Detour: in.DetourCost(r), Congestion: in.CongestionCost(r)})
 		}
-		c.mag[i] = math.Abs(u.Alpha)*sum + 2*math.Abs(u.Beta)*maxD + 2*math.Abs(u.Gamma)*maxC
-		c.slack[i] = gammaN(2*slots+16) * (c.mag[i] + core.Eps)
-	}
-	for k := 0; k < nt; k++ {
-		off[k+1] += off[k]
-	}
-	watch := make([]int32, off[nt])
-	fill := slices.Clone(off[:nt]) // fill[k]: the next free slot of task k's watchers
-	for i := range in.Users {
-		w.scan(&in.Users[i], func(k task.ID, m int32) {
-			for ; m > 0; m-- {
-				watch[fill[k]] = int32(i)
-				fill[k]++
-			}
-		})
+		c.skip[i] = core.NewSkipBound(w, u.Alpha, u.Beta, u.Gamma, routes, func(k task.ID) task.Task { return in.Tasks[k] })
 	}
 	// Group the tasks into classes, moving each class's list down over the
 	// lists of the tasks before it: a list never moves up, so the lists
@@ -594,55 +522,6 @@ func (c *collector) buildIndex() {
 		for s, b := range c.bound {
 			n, _ := slices.BinarySearch(list, b)
 			c.split[l*stride+s] = starts[l] + int32(n)
-		}
-	}
-}
-
-// gammaN is the classic rounding-error factor γ_n = n·u/(1−n·u), u = 2^-53.
-func gammaN(n float64) float64 {
-	nu := n * 0x1p-53
-	return nu / (1 - nu)
-}
-
-// watchScan lists a user's watched tasks: the tasks on some, but not all,
-// of its routes, each with the most times one route lists it (1 on a
-// validated instance).
-type watchScan struct {
-	user, route []int32 // stamps: last user / route that saw task k
-	routes      []int32 // routes of the current user listing k
-	occ, mult   []int32 // k's listings on the current route / most on one
-	union       []task.ID
-	u, r        int32
-}
-
-func newWatchScan(nt int) *watchScan {
-	return &watchScan{
-		user: make([]int32, nt), route: make([]int32, nt), routes: make([]int32, nt),
-		occ: make([]int32, nt), mult: make([]int32, nt),
-	}
-}
-
-func (w *watchScan) scan(u *core.User, fn func(k task.ID, m int32)) {
-	w.u++
-	w.union = w.union[:0]
-	for _, rt := range u.Routes {
-		w.r++
-		for _, k := range rt.Tasks {
-			if w.user[k] != w.u {
-				w.user[k], w.routes[k], w.mult[k] = w.u, 0, 0
-				w.union = append(w.union, k)
-			}
-			if w.route[k] != w.r {
-				w.route[k], w.occ[k] = w.r, 0
-				w.routes[k]++
-			}
-			w.occ[k]++
-			w.mult[k] = max(w.mult[k], w.occ[k])
-		}
-	}
-	for _, k := range w.union {
-		if int(w.routes[k]) < len(u.Routes) {
-			fn(k, w.mult[k])
 		}
 	}
 }

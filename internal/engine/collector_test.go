@@ -356,11 +356,11 @@ func TestCollectorKeyBoundsDelta(t *testing.T) {
 			off:   []int32{0, 2},
 			dp:    []float64{0, d},
 			drift: []uint64{drift},
-			slack: []float64{slack},
+			skip:  []core.SkipBound{{Alpha: math.Abs(alpha), Slack: slack}},
 		}
 		r := Request{Route: 1, B: make([]int, s.IntRange(1, 9))}
 		key := c.key(0, &r)
-		x := big.NewFloat(c.spread(0, drift) + slack)
+		x := big.NewFloat(c.skip[0].Spread(drift) + slack)
 		end := new(big.Float).SetPrec(2000).SetFloat64(d)
 		var v float64
 		if alpha > 0 {
@@ -383,7 +383,7 @@ func TestCollectorKeyBoundsDelta(t *testing.T) {
 
 // TestCollectorClassDrift checks the watcher classes against per-task
 // pushes: with random q per changed task, some near 2^62 so that sums
-// saturate to driftInf, pushing each changed class's sum once (addDrift,
+// saturate to core.DriftInf, pushing each changed class's sum once (addDrift,
 // then every shard's push) must leave every user the drift that pushing
 // each task's q into the task's own watchers — listed afresh, a user as
 // often as it watches the task — leaves, bit for bit. The instances must
@@ -399,9 +399,13 @@ func TestCollectorClassDrift(t *testing.T) {
 		c.refresh(p, false) // the second collection builds the index
 		shared += len(in.Tasks) - len(c.classQ)
 		watchers := make([][]int32, len(in.Tasks))
-		w := newWatchScan(len(in.Tasks))
+		w := core.NewWatchScan(len(in.Tasks))
 		for i := range in.Users {
-			w.scan(&in.Users[i], func(k task.ID, m int32) {
+			var routes []core.MoveRoute[task.ID]
+			for _, r := range in.Users[i].Routes {
+				routes = append(routes, core.MoveRoute[task.ID]{Tasks: r.Tasks})
+			}
+			core.ScanWatched(w, routes, func(k task.ID, m int32) {
 				for ; m > 0; m-- {
 					watchers[k] = append(watchers[k], int32(i))
 				}
@@ -424,7 +428,7 @@ func TestCollectorClassDrift(t *testing.T) {
 					if d := want[u] + q; d >= q {
 						want[u] = d
 					} else {
-						want[u] = driftInf
+						want[u] = core.DriftInf
 					}
 				}
 			}
@@ -435,7 +439,7 @@ func TestCollectorClassDrift(t *testing.T) {
 				if d != want[i] {
 					t.Fatalf("instance %d user %d: class drift %d, per-task pushes %d", n, i, d, want[i])
 				}
-				if d == driftInf {
+				if d == core.DriftInf {
 					saturated++
 				}
 			}

@@ -14,11 +14,12 @@ import (
 // is attached: the potential trajectory (Theorem 2 ascent), per-slot
 // contention, and slot-duration drift.
 const (
-	SeriesPotential    = "platform_potential"
-	SeriesSlotRequests = "platform_slot_requests"
-	SeriesSlotGranted  = "platform_slot_granted"
-	SeriesSlotMillis   = "platform_slot_duration_ms"
-	SeriesUpdates      = "platform_updates_total"
+	SeriesPotential     = "platform_potential"
+	SeriesSlotRequests  = "platform_slot_requests"
+	SeriesSlotContacted = "platform_slot_contacted"
+	SeriesSlotGranted   = "platform_slot_granted"
+	SeriesSlotMillis    = "platform_slot_duration_ms"
+	SeriesUpdates       = "platform_updates_total"
 )
 
 // Recorder feeds a Store from the two sources a running platform already
@@ -32,6 +33,7 @@ type Recorder struct {
 
 	potential *Series
 	requests  *Series
+	contacted *Series
 	granted   *Series
 	slotMS    *Series
 	updates   *Series
@@ -63,6 +65,7 @@ func NewRecorder(st *Store, opts ...RecorderOption) *Recorder {
 		st:        st,
 		potential: st.Series(SeriesPotential, KindGauge),
 		requests:  st.Series(SeriesSlotRequests, KindGauge),
+		contacted: st.Series(SeriesSlotContacted, KindGauge),
 		granted:   st.Series(SeriesSlotGranted, KindGauge),
 		slotMS:    st.Series(SeriesSlotMillis, KindGauge),
 		updates:   st.Series(SeriesUpdates, KindCounter),
@@ -92,6 +95,7 @@ func (r *Recorder) Observer() func(distributed.Observation) {
 			return
 		}
 		r.requests.Observe(float64(o.Requests))
+		r.contacted.Observe(float64(o.Contacted))
 		r.granted.Observe(float64(o.Granted))
 		r.slotMS.Observe(float64(o.Elapsed) / float64(time.Millisecond))
 		if o.Granted > 0 {

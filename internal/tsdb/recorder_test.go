@@ -17,9 +17,9 @@ func TestRecorderObserver(t *testing.T) {
 
 	obs(distributed.Observation{Slot: 0, Potential: 1.5, PotentialValid: true, Elapsed: time.Second})
 	clk.Set(101)
-	obs(distributed.Observation{Slot: 1, Requests: 4, Granted: 2, Potential: 2.5, PotentialValid: true, Elapsed: 8 * time.Millisecond})
+	obs(distributed.Observation{Slot: 1, Requests: 4, Contacted: 9, Granted: 2, Potential: 2.5, PotentialValid: true, Elapsed: 8 * time.Millisecond})
 	clk.Set(102)
-	obs(distributed.Observation{Slot: 2, Requests: 3, Granted: 1, Potential: 3.25, PotentialValid: true, Elapsed: 6 * time.Millisecond})
+	obs(distributed.Observation{Slot: 2, Requests: 3, Contacted: 5, Granted: 1, Potential: 3.25, PotentialValid: true, Elapsed: 6 * time.Millisecond})
 	clk.Set(103)
 
 	pot, err := st.Query(SeriesPotential, 0, 200, 0, 0)
@@ -36,6 +36,13 @@ func TestRecorderObserver(t *testing.T) {
 	// Slot 0 (initialization) records no slot statistics.
 	if len(gr.Points) != 2 || gr.Points[0].Last != 2 || gr.Points[1].Last != 1 {
 		t.Fatalf("granted series = %+v", gr.Points)
+	}
+	co, err := st.Query(SeriesSlotContacted, 0, 200, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(co.Points) != 2 || co.Points[0].Last != 9 || co.Points[1].Last != 5 {
+		t.Fatalf("contacted series = %+v", co.Points)
 	}
 	ms, err := st.Query(SeriesSlotMillis, 0, 200, 0, 0)
 	if err != nil {

@@ -56,8 +56,9 @@ const (
 	// BinaryVersion is the wire-format version stamped into every frame.
 	// Decoders reject frames from other versions; see docs/WIRE.md for the
 	// compatibility policy. v2 added KindGossipDelta (shard federation);
-	// v3 added KindShardRequests and KindSnapshot (multi-node federation).
-	BinaryVersion = 3
+	// v3 added KindShardRequests and KindSnapshot (multi-node federation);
+	// v4 added Request.Tolerance (certified silence).
+	BinaryVersion = 4
 	// binaryHeaderLen is the fixed envelope header inside every frame.
 	binaryHeaderLen = 41
 	// MaxFrameLen bounds the length prefix a decoder honors. Protocol
@@ -402,6 +403,7 @@ func appendBody(dst []byte, m *Message, keys []int) ([]byte, []int, error) {
 		dst = binary.AppendVarint(dst, int64(r.Route))
 		dst = appendFloat(dst, r.Tau)
 		dst = appendIntSlice(dst, r.B)
+		dst = binary.AppendUvarint(dst, r.Tolerance)
 	case KindGrant:
 		dst = binary.AppendVarint(dst, int64(m.Grant.Slot))
 	case KindDecision:
@@ -753,7 +755,11 @@ func parseRequest(r *frameReader, m *Message, old *Request) error {
 	if err != nil {
 		return err
 	}
-	*old = Request{Slot: int(slot), HasUpdate: has, Route: int(route), Tau: tau, B: b}
+	tol, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	*old = Request{Slot: int(slot), HasUpdate: has, Route: int(route), Tau: tau, B: b, Tolerance: tol}
 	m.Request = old
 	return nil
 }

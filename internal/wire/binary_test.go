@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -70,12 +72,14 @@ func goldenCases() []struct {
 		{"init_nil", &Message{Kind: KindInit, From: -1, Init: &Init{User: 0, Routes: nil, Tasks: nil, CurrentRoute: -1}}},
 		{"request_empty_b", &Message{Kind: KindRequest, Seq: 9, From: 3,
 			Request: &Request{Slot: 2, HasUpdate: false, Route: -1, Tau: 0, B: []int{}}}},
+		{"request_tolerance", &Message{Kind: KindRequest, Seq: 17, Epoch: 1, From: 3,
+			Request: &Request{Slot: 8, Tolerance: 0x2a_1234_5678}}},
 		{"slotinfo_nil_counts", &Message{Kind: KindSlotInfo, Seq: 10, From: -1, SlotInfo: &SlotInfo{Slot: 1}}},
 		// Nil and empty maps are distinct on the wire (matching gob).
 		{"slotinfo_empty_counts", &Message{Kind: KindSlotInfo, Seq: 10, From: -1, SlotInfo: &SlotInfo{Slot: 1, Counts: map[int]int{}}}},
 		{"max_varints", &Message{Kind: KindRequest, Seq: ^uint64(0), Epoch: ^uint32(0), From: math.MinInt64,
 			Request: &Request{Slot: math.MaxInt64, HasUpdate: true, Route: math.MinInt64,
-				Tau: math.MaxFloat64, B: []int{math.MaxInt64, math.MinInt64, 0}}}},
+				Tau: math.MaxFloat64, B: []int{math.MaxInt64, math.MinInt64, 0}, Tolerance: math.MaxUint64}}},
 		// Nil vs empty delta batches are distinct too (same map rule).
 		{"gossipdelta_nil_counts", &Message{Kind: KindGossipDelta, Seq: 12, From: -1,
 			GossipDelta: &GossipDelta{Shard: 0, Epoch: 1}}},
@@ -549,6 +553,27 @@ func TestBinaryDecodeAdversarial(t *testing.T) {
 		if m, err := c.Decode(); err == nil {
 			t.Errorf("%s: hostile input decoded as %+v", name, m)
 		}
+	}
+}
+
+// TestBinaryDecodeRefusesPreviousVersion checks that a frame of the
+// previous wire version (v3, whose Request had no tolerance) is refused
+// with the version error, not misread: a Request frame with its version
+// byte set back by one must fail to decode, naming both versions.
+func TestBinaryDecodeRefusesPreviousVersion(t *testing.T) {
+	frame, err := AppendFrame(nil, &Message{Kind: KindRequest, Seq: 4, From: 2,
+		Request: &Request{Slot: 5, HasUpdate: true, Route: 1, Tau: 0.25, B: []int{0, 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[6] = BinaryVersion - 1
+	m, err := NewBinaryCodec(bytes.NewReader(frame), nil).Decode()
+	if err == nil {
+		t.Fatalf("v%d frame decoded as %+v", BinaryVersion-1, m)
+	}
+	want := fmt.Sprintf("unsupported frame version %d (want %d)", BinaryVersion-1, BinaryVersion)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("v%d frame: error %q, want it to contain %q", BinaryVersion-1, err, want)
 	}
 }
 

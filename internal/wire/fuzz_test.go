@@ -31,6 +31,8 @@ func corpusMessages() []*Message {
 		{Kind: KindRequest, Seq: 4, Epoch: 2, From: 2,
 			TraceID: 0xdeadbeefcafef00d, SpanID: 0x1235, TraceFlags: 1,
 			Request: &Request{Slot: 5, HasUpdate: true, Route: 1, Tau: 0.25, B: []int{0, 4}}},
+		{Kind: KindRequest, Seq: 5, Epoch: 2, From: 2,
+			Request: &Request{Slot: 6, Tolerance: 0x2a_1234_5678}},
 		{Kind: KindGrant, Seq: 5, From: -1, Grant: &Grant{Slot: 5}},
 		{Kind: KindDecision, Seq: 6, From: 2, Decision: &Decision{Slot: 5, Route: 1}},
 		{Kind: KindTerminate, Seq: 7, From: -1, Terminate: &Terminate{Slot: 6}},
@@ -97,17 +99,18 @@ func FuzzCodecDecode(f *testing.F) {
 }
 
 // FuzzCodecRoundTrip fuzzes structured Request fields — including the
-// trace-context envelope fields — through a full encode/decode cycle:
-// whatever values the fuzzer picks must survive the wire exactly.
+// silence tolerance and the trace-context envelope fields — through a full
+// encode/decode cycle: whatever values the fuzzer picks must survive the
+// wire exactly.
 func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add(5, true, 1, 0.25, uint64(4), uint32(0), uint64(0), uint64(0), uint8(0))
-	f.Add(0, false, -3, -1.5, uint64(0), uint32(7), uint64(0xdeadbeefcafef00d), uint64(77), uint8(1))
-	f.Add(9, true, 2, 0.5, uint64(8), uint32(1), ^uint64(0), ^uint64(0), uint8(0xff))
-	f.Fuzz(func(t *testing.T, slot int, has bool, route int, tau float64, seq uint64, epoch uint32, trace, span uint64, flags uint8) {
+	f.Add(5, true, 1, 0.25, uint64(0), uint64(4), uint32(0), uint64(0), uint64(0), uint8(0))
+	f.Add(0, false, -3, -1.5, uint64(1<<40+7), uint64(0), uint32(7), uint64(0xdeadbeefcafef00d), uint64(77), uint8(1))
+	f.Add(9, true, 2, 0.5, ^uint64(0)-1, uint64(8), uint32(1), ^uint64(0), ^uint64(0), uint8(0xff))
+	f.Fuzz(func(t *testing.T, slot int, has bool, route int, tau float64, tol, seq uint64, epoch uint32, trace, span uint64, flags uint8) {
 		in := &Message{
 			Kind: KindRequest, Seq: seq, Epoch: epoch, From: 1,
 			TraceID: trace, SpanID: span, TraceFlags: flags,
-			Request: &Request{Slot: slot, HasUpdate: has, Route: route, Tau: tau, B: []int{slot, route}},
+			Request: &Request{Slot: slot, HasUpdate: has, Route: route, Tau: tau, B: []int{slot, route}, Tolerance: tol},
 		}
 		var buf bytes.Buffer
 		c := NewCodec(&buf, &buf)

@@ -140,6 +140,11 @@ type Request struct {
 	Route     int     // proposed route (valid when HasUpdate)
 	Tau       float64 // τ_i = ΔP_i/α_i
 	B         []int   // B_i: tasks touched by the move
+	// Tolerance, sent when !HasUpdate, is the largest share drift, in
+	// core.DriftUnit summed over the user's watched tasks, up to which its
+	// best response set provably stays empty (core.SkipBound.Tolerance):
+	// until that much drift has piled up, the platform need not ask again.
+	Tolerance uint64
 }
 
 // Grant awards the update opportunity for a slot.
