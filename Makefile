@@ -46,7 +46,8 @@ soak-multinode:
 	$(GO) test -race -count=5 -timeout 600s ./internal/distributed/e2e
 
 # Short fuzz pass over the wire codec, the game-state evaluator, the silence
-# tolerance against the skip rule, the agent's best response against the
+# tolerance against the skip rule and against the binary search it
+# replaces, the agent's best response against the
 # evaluator, the PUU selection, the routing engine and the scenario
 # builder's coverage query (corpus + a few seconds of mutation per target).
 # Extend -fuzztime locally for deeper exploration.
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMuxFrames -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzProfileMoves -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSilenceTolerance -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzToleranceMatchesSearch -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSelectPUU -fuzztime 5s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzAgentMatchesCore -fuzztime 5s ./internal/distributed
 	$(GO) test -run '^$$' -fuzz FuzzShortestPathEquivalence -fuzztime 5s ./internal/roadnet
@@ -65,15 +67,18 @@ fuzz:
 # Full local CI gate: build, vet, tests, race (including the chaos suite),
 # the request collector's differential and collect-mode tests repeated
 # under the race detector (its sharded pass writes per-user slots from
-# several workers; TestCollectorLazyPUUMatchesExact, TestCollectorClassDrift,
+# several workers; TestCollectorLazyPUUMatchesExact,
 # TestCollectorCertifiedIsSound and TestCollectorKeyBoundsDelta check PUU's
-# bounded path, the watcher classes, the certification rule and the δ
-# bound), short fuzz passes, the round benchmark's own
+# bounded path, the certification rule and the δ bound), the drift
+# tracker's tests repeated under the race detector (its shards push drift
+# from several goroutines; TestDriftTrackerClassDrift checks the watcher
+# classes against per-task pushes), short fuzz passes, the round benchmark's own
 # tests (a nested module the root ./... never reaches), and smoke runs of
 # the benchmark suites (short benchtime: checks the harnesses and the
 # speedup/zero-alloc gates, not timings).
 ci: build vet test race fuzz
 	$(GO) test -race -count=3 -run 'TestCollector|TestCollectRequests|TestRunIdenticalAcrossCollectModes' ./internal/engine
+	$(GO) test -race -count=3 -run 'TestDriftTracker' ./internal/core
 	cd roundbench && $(GO) test ./...
 	$(GO) test -race -short -count=1 ./internal/distributed ./internal/wire
 	$(GO) test -race -short -count=1 -timeout 300s ./internal/distributed/e2e

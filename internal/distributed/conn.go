@@ -101,64 +101,6 @@ func (c *netConn) Recv() (*wire.Message, error) { return c.codec.Decode() }
 
 func (c *netConn) Close() error { return c.nc.Close() }
 
-// --- Message accounting ---
-
-// Counter tallies traffic through a connection; wrap with WithCounter.
-// Safe for concurrent use via the connection's own synchronization (counts
-// are updated under the conn's send/recv paths).
-type Counter struct {
-	mu         sync.Mutex
-	sent, recv int
-}
-
-// Sent returns the number of messages sent through the counted connection.
-func (c *Counter) Sent() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sent
-}
-
-// Recv returns the number of messages received through the counted
-// connection.
-func (c *Counter) Recv() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recv
-}
-
-type countedConn struct {
-	inner Conn
-	ctr   *Counter
-}
-
-// WithCounter wraps a connection so all traffic is tallied in ctr.
-func WithCounter(inner Conn, ctr *Counter) Conn {
-	return &countedConn{inner: inner, ctr: ctr}
-}
-
-func (c *countedConn) Send(m *wire.Message) error {
-	if err := c.inner.Send(m); err != nil {
-		return err
-	}
-	c.ctr.mu.Lock()
-	c.ctr.sent++
-	c.ctr.mu.Unlock()
-	return nil
-}
-
-func (c *countedConn) Recv() (*wire.Message, error) {
-	m, err := c.inner.Recv()
-	if err != nil {
-		return nil, err
-	}
-	c.ctr.mu.Lock()
-	c.ctr.recv++
-	c.ctr.mu.Unlock()
-	return m, nil
-}
-
-func (c *countedConn) Close() error { return c.inner.Close() }
-
 // --- Sequence numbering and duplicate suppression ---
 
 // seqConn stamps outgoing messages with increasing sequence numbers (and

@@ -557,27 +557,6 @@ func TestMessageAccounting(t *testing.T) {
 	}
 }
 
-func TestCounterDirect(t *testing.T) {
-	a, b := ChanPair(8)
-	defer a.Close()
-	ctr := &Counter{}
-	ca := WithCounter(a, ctr)
-	for i := 0; i < 3; i++ {
-		if err := ca.Send(grantMsg(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Send(grantMsg(9)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ca.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	if ctr.Sent() != 3 || ctr.Recv() != 1 {
-		t.Errorf("counter = %d sent, %d recv; want 3, 1", ctr.Sent(), ctr.Recv())
-	}
-}
-
 func TestPlatformRejectsWrongHello(t *testing.T) {
 	in := randomInstance(12, 2, 4)
 	platConns := make([]Conn, 2)

@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"repro/internal/core"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -10,6 +11,16 @@ import (
 func WithSilenceHook(cfg PlatformConfig, fn func(slot int, silent []int)) PlatformConfig {
 	cfg.onSilence = fn
 	return cfg
+}
+
+// PlatformDrift returns the drift tracker of a fresh platform that serves
+// the given users of in.
+func PlatformDrift(in *core.Instance, users []int) (*core.DriftTracker, error) {
+	p, err := newPlatform(in, make([]Conn, len(users)), PlatformConfig{Telemetry: telemetry.NewRegistry()}, users, nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.drift, nil
 }
 
 // TaskUnions exposes taskUnions to the external tests.

@@ -293,8 +293,8 @@ func serveNode(peerLn net.Listener, in *core.Instance, opts NodeOptions, agents 
 func (f *nodeRun) run(startSlot int) error {
 	plat := f.plat
 	defer func() {
-		f.stats.MessagesSent = plat.ctr.Sent()
-		f.stats.MessagesReceived = plat.ctr.Recv()
+		f.stats.MessagesSent = int(plat.tel.runSent.Value())
+		f.stats.MessagesReceived = int(plat.tel.runRecv.Value())
 	}()
 	initStart := time.Now()
 	if err := plat.runInit(); err != nil {

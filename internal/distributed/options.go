@@ -88,35 +88,30 @@ func newPlatform(in *core.Instance, conns []Conn, cfg PlatformConfig, users []in
 		label = st.Shard()
 	}
 	tel := newPlatformTelemetry(reg, users, label)
-	drift := make([]uint64, len(users))
-	for li := range drift {
-		drift[li] = core.DriftInf // every user is asked in the first slot
+	drift := core.NewDriftTracker(len(users), 1)
+	drift.Index(in, users)
+	for li := range drift.Drift {
+		drift.Drift[li] = core.DriftInf // every user is asked in the first slot
 	}
-	watchOff, watch := core.WatchIndex(in, users)
-	ctr := &Counter{}
 	wrapped := make([]Conn, len(conns))
 	for li, c := range conns {
 		// Trace inside the sequence stamper so transport spans carry the
 		// final Seq, outside the counters so they time the real operation.
-		wrapped[li] = WithSeq(WithTrace(WithCounter(tel.wrap(c, li), ctr), cfg.Tracer, users[li]), -1)
+		wrapped[li] = WithSeq(WithTrace(tel.wrap(c, li), cfg.Tracer, users[li]), -1)
 	}
 	return &Platform{
-		in:       in,
-		conns:    wrapped,
-		cfg:      cfg,
-		rnd:      rng.New(cfg.Seed),
-		users:    users,
-		local:    local,
-		unions:   taskUnions(in, users),
-		store:    st,
-		choices:  make([]int, in.NumUsers()),
-		inited:   make([]bool, in.NumUsers()),
-		ctr:      ctr,
-		tel:      tel,
-		tr:       cfg.Tracer,
-		drift:    drift,
-		tol:      make([]uint64, len(users)),
-		watchOff: watchOff,
-		watch:    watch,
+		in:      in,
+		conns:   wrapped,
+		cfg:     cfg,
+		rnd:     rng.New(cfg.Seed),
+		users:   users,
+		local:   local,
+		unions:  taskUnions(in, users),
+		store:   st,
+		choices: make([]int, in.NumUsers()),
+		inited:  make([]bool, in.NumUsers()),
+		tel:     tel,
+		tr:      cfg.Tracer,
+		drift:   drift,
 	}, nil
 }

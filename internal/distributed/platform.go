@@ -10,6 +10,7 @@ import (
 	"repro/internal/distributed/federation"
 	"repro/internal/engine"
 	"repro/internal/rng"
+	"repro/internal/task"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
 	"repro/internal/wire"
@@ -143,23 +144,17 @@ type Platform struct {
 	view    []int // per-slot snapshot of store counts
 	prev    []int // the snapshot before view
 	choices []int
-	// Certified silence: drift[li] sums, in core.DriftUnit, the share
-	// drift of the tasks user li watches since its last answer, and
-	// tol[li] is the drift up to which that answer — no move — provably
-	// stands. A user is sent a SlotInfo only when drift[li] > tol[li];
-	// core.DriftInf marks a user that must be asked (first slot,
-	// requester, mover, reconnected agent). Task k's watchers among the
-	// served users are watch[watchOff[k]:watchOff[k+1]], as indices li.
-	drift    []uint64
-	tol      []uint64
-	watchOff []int32
-	watch    []int32
+	// Certified silence: the one-shard drift tracker over the served
+	// users, indexed by li. A user is sent a SlotInfo only when it is due,
+	// its drift past the tolerance of its last "no move"; core.DriftInf
+	// marks a user that must be asked (first slot, requester, reconnected
+	// agent).
+	drift    *core.DriftTracker
 	contacts []int // this slot's contacted li, ascending
 	// inited[u] is set once user u's initial decision is applied; until
 	// then a reconnecting agent is re-sent Init with CurrentRoute -1 so it
 	// decides afresh instead of trusting a zero-valued record.
 	inited []bool
-	ctr    *Counter
 	tel    *platformTelemetry
 
 	tr *tracing.Tracer
@@ -180,21 +175,6 @@ type Platform struct {
 	// lastRequests carries the request count from collectRequests to the
 	// span finish in commitSlot.
 	lastRequests int
-}
-
-// pushDrift adds, for every task whose count moved between the last two
-// snapshots, its share drift to the drift of the served users watching it.
-func (p *Platform) pushDrift() {
-	for k, n1 := range p.view {
-		n0 := p.prev[k]
-		if n0 == n1 {
-			continue
-		}
-		q := core.ShareDrift(p.in.Tasks[k], n0, n1)
-		for _, li := range p.watch[p.watchOff[k]:p.watchOff[k+1]] {
-			p.drift[li] = core.AddSat(p.drift[li], q)
-		}
-	}
 }
 
 // send stamps the current trace context onto m and sends it to the agent
@@ -352,7 +332,7 @@ func (p *Platform) expect(li int, kind wire.Kind, inSlot int, regrant bool) (*wi
 			}
 			p.tel.reconnects.Inc()
 			p.tr.RecordReconnect(p.traceCtx, u, inSlot)
-			p.drift[li] = core.DriftInf // its next answer must be fresh
+			p.drift.Drift[li] = core.DriftInf // its next answer must be fresh
 			cur := -1
 			if p.inited[u] {
 				cur = p.choices[u]
@@ -443,18 +423,22 @@ func (p *Platform) collectRequests(slot int) ([]engine.Request, error) {
 	p.traceCtx = span.Context()
 	p.slotSpan = span
 	p.prev, p.view = p.view, p.store.View(p.prev)
-	p.pushDrift()
+	for k, n1 := range p.view {
+		p.drift.Moved(task.ID(k), p.prev[k], n1)
+	}
+	p.drift.Push(0)
+	p.drift.Clear()
 	p.contacts = p.contacts[:0]
-	for li, d := range p.drift {
-		if d > p.tol[li] {
+	for li := range p.users {
+		if p.drift.Due(li) {
 			p.contacts = append(p.contacts, li)
 		}
 	}
 	if p.cfg.onSilence != nil {
 		silent := make([]int, 0, len(p.users)-len(p.contacts))
-		for li, d := range p.drift {
-			if d <= p.tol[li] {
-				silent = append(silent, p.users[li])
+		for li, u := range p.users {
+			if !p.drift.Due(li) {
+				silent = append(silent, u)
 			}
 		}
 		p.cfg.onSilence(slot, silent)
@@ -476,10 +460,10 @@ func (p *Platform) collectRequests(slot int) ([]engine.Request, error) {
 			return nil, fmt.Errorf("distributed: user %d replied for slot %d in slot %d", p.users[li], r.Slot, slot)
 		}
 		if !r.HasUpdate {
-			p.drift[li], p.tol[li] = 0, r.Tolerance
+			p.drift.Answered(li, r.Tolerance)
 			continue
 		}
-		p.drift[li] = core.DriftInf // a requester is asked every slot
+		p.drift.Drift[li] = core.DriftInf // a requester is asked every slot
 		// SelectPUU marks B's tasks in a slice indexed by task ID.
 		for _, k := range r.B {
 			if k < 0 || k >= p.in.NumTasks() {

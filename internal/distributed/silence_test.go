@@ -123,11 +123,13 @@ func TestPlatformSilenceIsSound(t *testing.T) {
 	t.Logf("%d silent user-slots checked", silenced)
 }
 
-// TestWatchIndexMatchesDefinition checks the platform's watch index, which
-// decides whose drift a count change raises, against the definition: a
+// TestWatchIndexMatchesDefinition checks the platform's watch lists, which
+// decide whose drift a count change raises, against the definition: a
 // served user watches exactly the tasks on some, but not all, of its
-// routes. A watch set one task too narrow would leave drift unpushed; one
-// task too wide would contact users for nothing.
+// routes. It reads them through the platform's drift tracker: moving one
+// task's count must raise the drift of exactly its watchers, each by the
+// same amount. A watch set one task too narrow would leave drift unpushed;
+// one task too wide would contact users for nothing.
 func TestWatchIndexMatchesDefinition(t *testing.T) {
 	insts := []*core.Instance{smallRoadInstance(t)}
 	for seed := uint64(0); seed < 20; seed++ {
@@ -140,10 +142,25 @@ func TestWatchIndexMatchesDefinition(t *testing.T) {
 				users = append(users, u)
 			}
 		}
-		off, watch := core.WatchIndex(in, users)
+		tr, err := distributed.PlatformDrift(in, users)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := make([][]task.ID, len(users))
 		for k := range in.Tasks {
-			for _, li := range watch[off[k]:off[k+1]] {
+			clear(tr.Drift)
+			tr.Moved(task.ID(k), 0, 1)
+			tr.Push(0)
+			tr.Clear()
+			var q uint64
+			for li, d := range tr.Drift {
+				if d == 0 {
+					continue
+				}
+				if q != 0 && d != q {
+					t.Fatalf("instance %d task %d: user %d drifts %d, another %d", n, k, users[li], d, q)
+				}
+				q = d
 				got[li] = append(got[li], task.ID(k))
 			}
 		}

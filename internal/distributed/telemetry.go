@@ -50,6 +50,10 @@ type platformTelemetry struct {
 	recvAll       *telemetry.Counter
 	linkSent      []*telemetry.Counter
 	linkRecv      []*telemetry.Counter
+	// runSent and runRecv count this platform's messages alone, whatever
+	// registry it shares: the run's RunStats.MessagesSent and
+	// MessagesReceived.
+	runSent, runRecv telemetry.Counter
 }
 
 // newPlatformTelemetry resolves the metric handles for a platform serving
@@ -86,12 +90,13 @@ func newPlatformTelemetry(reg *telemetry.Registry, users []int, shard int) *plat
 }
 
 // wrap decorates the platform-side end of user u's link so every message
-// bumps the per-link and aggregate counters.
+// bumps the per-link, aggregate and per-run counters.
 func (t *platformTelemetry) wrap(inner Conn, u int) Conn {
 	return &telemetryConn{
 		inner: inner,
 		sent:  t.linkSent[u], recv: t.linkRecv[u],
 		sentAll: t.sentAll, recvAll: t.recvAll,
+		runSent: &t.runSent, runRecv: &t.runRecv,
 	}
 }
 
@@ -102,6 +107,7 @@ type telemetryConn struct {
 	inner            Conn
 	sent, recv       *telemetry.Counter
 	sentAll, recvAll *telemetry.Counter
+	runSent, runRecv *telemetry.Counter
 }
 
 func (c *telemetryConn) Send(m *wire.Message) error {
@@ -110,6 +116,7 @@ func (c *telemetryConn) Send(m *wire.Message) error {
 	}
 	c.sent.Inc()
 	c.sentAll.Inc()
+	c.runSent.Inc()
 	return nil
 }
 
@@ -120,6 +127,7 @@ func (c *telemetryConn) Recv() (*wire.Message, error) {
 	}
 	c.recv.Inc()
 	c.recvAll.Inc()
+	c.runRecv.Inc()
 	return m, nil
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
@@ -37,35 +36,33 @@ var collectParallelMin = 96
 // collections, re-probes only the users whose Δ_i may have changed:
 //
 //   - a user whose route moved is always re-probed;
-//   - a user none of whose watched tasks changed count since its last probe
-//     (drift 0) reuses its probe: shares are a pure function of counts, so
-//     a fresh probe would be bit-identical;
-//   - a user whose drift cannot lift any ΔP_i(c) above core.Eps —
-//     gap_i + α_i·drift_i ≤ Eps − slack_i, gap_i the largest cached ΔP_i(c)
-//     — keeps Δ_i = ∅ without a probe;
+//   - a user whose drift is within its tolerance keeps its probe: drift 0
+//     (none of its watched tasks changed count since its last probe) reuses
+//     it bit-identically, as shares are a pure function of counts, and a
+//     user whose last probe gave Δ_i = ∅ keeps Δ_i = ∅ while its drift is
+//     at most core.SkipBound.Tolerance of its largest cached ΔP_i(c);
 //   - on the bounded path (selectPUU) only, a certified user — one whose
 //     cached Δ_i = {c*} stands at every ΔP_i within X_i = α_i·drift_i +
 //     slack_i of the cached one — keeps Δ_i = {c*} without a probe; its
 //     ΔP_i(c*), and so its δ, is then known only to within X_i;
 //   - every other user is re-probed.
 //
-// A task is watched by a user when it lies on some, but not all, of the
-// user's routes: only those tasks enter a ΔP_i(c) (a task on every route
-// cancels out of every symmetric difference). Tasks with the same watcher
-// list form one watcher class, and drift is pushed once per changed class.
-// The derivation of the skip and certification rules and their slack is in
-// ALGORITHMS.md, "Incremental request collection".
+// Drift and tolerances live in a core.DriftTracker, the platform's too: a
+// user is probed again exactly when its drift exceeds its tolerance, and
+// drift is pushed once per changed watcher class. The derivation of the
+// skip and certification rules and their slack is in ALGORITHMS.md,
+// "Incremental request collection".
 //
-// Each collection runs as one pass over W contiguous user ranges, the
-// shards, W fixed when the collector binds to its profile: sync works out
-// serially which tasks changed count and how far their shares can have
-// moved, summed per watcher class, then every shard pushes that drift into
-// its own users' slots, applies the skip rules to them and re-probes the
-// rest with its own core.Evaluator. Every per-user slot (drift, dp, delta,
-// nd, gap) is written by exactly one shard, drift sums are exact integers
-// whose saturating adds commute, and a probe's value does not depend on
-// the evaluator that runs it, so the outcome is the same whether the
-// shards run inline or in parallel, and whatever W is.
+// Each collection runs as one pass over the tracker's W contiguous user
+// ranges, the shards, W fixed when the collector binds to its profile:
+// sync works out serially which tasks changed count and hands them to the
+// tracker, then every shard pushes the drift into its own users, applies
+// the skip rules to them and re-probes the rest with its own
+// core.Evaluator. Every per-user slot (drift, tolerance, dp, delta, nd) is
+// written by exactly one shard, drift sums are exact integers whose
+// saturating adds commute, and a probe's value does not depend on the
+// evaluator that runs it, so the outcome is the same whether the shards
+// run inline or in parallel, and whatever W is.
 //
 // A collector serves one profile; handed another, it starts over. Its
 // zero value is ready to use.
@@ -77,37 +74,28 @@ type collector struct {
 	dp     []float64 // dp[off[i]+c] = ΔP_i(c) at user i's last probe (0 at its route)
 	delta  []int32   // delta[off[i] : off[i]+nd[i]] = Δ_i at the last probe
 	nd     []int32
-	gap    []float64 // max_c ΔP_i(c) at the last probe
-	drift  []uint64  // Σ of watched share changes since the last probe, in core.DriftUnit
-	choice []int32   // choices at the last collection
-	count  []int32   // task counts at the last collection
+	choice []int32 // choices at the last collection
+	count  []int32 // task counts at the last collection
 
-	// Shard w owns users bound[w] .. bound[w+1] and probes with evs[w];
-	// probed[w] is how many users it probed in the last pass. probes is the
-	// users probed by the last collection, over the shards and, on the
-	// bounded path, the selection's refinements.
-	bound   []int32
+	// Each user's drift since its last probe and the tolerance of that
+	// probe; shard w of the tracker probes with evs[w], and probed[w] is how
+	// many users it probed in the last pass. probes is the users probed by
+	// the last collection, over the shards and, on the bounded path, the
+	// selection's refinements.
+	tr      *core.DriftTracker
 	evs     []*core.Evaluator
 	probed  []int32
 	probes  int
 	certify bool // the pass may certify requesters (the bounded path)
 
-	// Built on the second collection: task k's watcher class class[k],
-	// the watch index of the classes, split by shard — the watchers of
-	// class l that shard w owns are
-	// watch[split[l·(W+1)+w] : split[l·(W+1)+w+1]] — each user's skip
-	// bound, and per-task and per-class scratch.
-	class  []int32
-	split  []int32
-	watch  []int32
-	skip   []core.SkipBound
-	was    []int32  // count before this sync, or -1 when untouched
-	classQ []uint64 // this sync's summed core.ShareDrift of each class, 0 if none
+	// Built on the second collection, with the tracker's watcher classes:
+	// each user's skip bound, and per-task scratch.
+	skip []core.SkipBound
+	was  []int32 // count before this sync, or -1 when untouched
 
 	b      [][]int // cached B_i of requesters, exact-size
 	bRoute []int32 // the route b[i] was built for
 
-	changed []int32 // scratch: this sync's classes with a nonzero classQ
 	touched []int32 // scratch: tasks walked by this sync's movers
 	tmp     []int   // scratch: a B before it is copied out
 	users   []core.UserID
@@ -199,11 +187,12 @@ func (c *collector) selectPUU(p *core.Profile, s *rng.Stream) (int, []Request) {
 func (c *collector) key(j int, r *Request) puuKey {
 	i := r.User
 	d, alpha := c.dp[int(c.off[i])+r.Route], c.in.Users[i].Alpha
-	if c.drift[i] == 0 {
+	drift := c.tr.Drift[i]
+	if drift == 0 {
 		r.Tau = d / alpha
 		return puuKey{r.delta(), int32(j), true}
 	}
-	x := c.skip[i].Spread(c.drift[i]) + c.skip[i].Slack
+	x := c.skip[i].Spread(drift) + c.skip[i].Slack
 	hi := (d + x) / alpha
 	if alpha < 0 {
 		hi = (d - x) / alpha
@@ -237,7 +226,7 @@ func (c *collector) refresh(p *core.Profile, certify bool) {
 	if c.p != p {
 		work = c.start(p)
 	} else {
-		if c.split == nil {
+		if c.skip == nil {
 			c.buildIndex()
 		}
 		work = c.sync()
@@ -246,6 +235,7 @@ func (c *collector) refresh(p *core.Profile, certify bool) {
 	c.certify = certify
 	c.pass(work)
 	c.certify = false
+	c.tr.Clear()
 }
 
 // start binds the collector to a profile, fixes its shards, and marks every
@@ -259,17 +249,12 @@ func (c *collector) start(p *core.Profile) int {
 		in:     in,
 		off:    make([]int32, n+1),
 		nd:     make([]int32, n),
-		gap:    make([]float64, n),
-		drift:  make([]uint64, n),
 		choice: make([]int32, n),
 		count:  make([]int32, nt),
-		bound:  make([]int32, w+1),
+		tr:     core.NewDriftTracker(n, w),
 		probed: make([]int32, w),
 		b:      make([][]int, n),
 		bRoute: make([]int32, n),
-	}
-	for s := range c.bound {
-		c.bound[s] = int32(s * n / w)
 	}
 	for range w {
 		c.evs = append(c.evs, p.NewEvaluator())
@@ -279,7 +264,7 @@ func (c *collector) start(p *core.Profile) int {
 		c.off[i+1] = c.off[i] + int32(len(u.Routes))
 		c.choice[i] = int32(p.Choice(core.UserID(i)))
 		if len(u.Routes) > 1 {
-			c.drift[i] = core.DriftInf
+			c.tr.Drift[i] = core.DriftInf
 			marked++
 		}
 	}
@@ -293,10 +278,9 @@ func (c *collector) start(p *core.Profile) int {
 
 // sync applies the moves made since the last collection, by the policy or
 // anyone else: it updates the task counts, marks each mover for a re-probe,
-// and sums, per watcher class, the largest change of the two shares of
-// each task whose count changed, for the pass to push into the class's
-// watchers' drift. It returns the pass's known work: the drift pushes plus
-// the movers.
+// and hands the tracker each task whose count changed, for the pass to
+// push its share drift into its watchers. It returns the pass's known
+// work: the drift pushes plus the movers.
 func (c *collector) sync() int {
 	in := c.in
 	touch := func(k task.ID, d int32) {
@@ -322,43 +306,14 @@ func (c *collector) sync() int {
 		}
 		c.choice[i] = now
 		c.b[i] = nil
-		c.drift[i] = core.DriftInf // always re-probe a mover
+		c.tr.Drift[i] = core.DriftInf // always re-probe a mover
 		work++
 	}
-	c.clearDrift()
 	for _, k := range c.touched {
-		n0, n1 := int(c.was[k]), int(c.count[k])
+		c.tr.Moved(task.ID(k), int(c.was[k]), int(c.count[k]))
 		c.was[k] = -1
-		if n0 != n1 {
-			c.addDrift(k, core.ShareDrift(in.Tasks[k], n0, n1))
-		}
 	}
-	stride := len(c.bound)
-	for _, l := range c.changed {
-		work += int(c.split[int(l)*stride+stride-1] - c.split[int(l)*stride])
-	}
-	return work
-}
-
-// addDrift adds q ≥ 1 to the drift of task k's watcher class. The add
-// saturates like the pushes into user drift, and saturating adds of
-// non-negative integers are associative, so pushing a class's sum once
-// gives every watcher the drift that pushing each task's q would.
-func (c *collector) addDrift(k int32, q uint64) {
-	l := c.class[k]
-	if c.classQ[l] == 0 {
-		c.changed = append(c.changed, l)
-	}
-	c.classQ[l] = core.AddSat(c.classQ[l], q)
-}
-
-// clearDrift forgets the last sync's class drift once its pass has pushed
-// it.
-func (c *collector) clearDrift() {
-	for _, l := range c.changed {
-		c.classQ[l] = 0
-	}
-	c.changed = c.changed[:0]
+	return work + c.tr.Pending()
 }
 
 // pass runs every shard once: inline below collectParallelMin units of
@@ -382,43 +337,28 @@ func (c *collector) pass(work int) {
 	}
 }
 
-// shard runs shard w's part of a pass: it pushes this sync's class drift
-// into its users' drift, then re-probes those of its users whose Δ_i may
-// have changed — a nonzero drift that the skip rules cannot bound.
+// shard runs shard w's part of a pass: it pushes this sync's drift into
+// its users, then re-probes those of its users whose Δ_i may have changed
+// — a drift above the tolerance that certification cannot cover either.
 func (c *collector) shard(w int) {
-	c.push(w)
+	tr := c.tr
+	tr.Push(w)
 	ev, n := c.evs[w], int32(0)
-	for i := c.bound[w]; i < c.bound[w+1]; i++ {
-		d := c.drift[i]
-		if d == 0 {
-			continue // reuse: a fresh probe would be bit-identical
+	lo, hi := tr.Shard(w)
+	for i := lo; i < hi; i++ {
+		if !tr.Due(i) {
+			continue // drift 0 reuses the probe; Δ_i = ∅ still, cached as such
 		}
-		if d != core.DriftInf {
+		if d := tr.Drift[i]; c.certify && d != core.DriftInf {
 			b := &c.skip[i]
-			x := b.Spread(d)
-			if b.QuietAt(c.gap[i], x) {
-				continue // Δ_i = ∅ still, and already cached as such
-			}
-			if c.certify && c.certified(i, x+b.Slack) {
+			if c.certified(int32(i), b.Spread(d)+b.Slack) {
 				continue // Δ_i = {c*} still; ΔP_i(c*) known to within X_i
 			}
 		}
-		c.probeUser(ev, i)
+		c.probeUser(ev, int32(i))
 		n++
 	}
 	c.probed[w] = n
-}
-
-// push adds each changed class's drift to the drift of its watchers that
-// shard w owns.
-func (c *collector) push(w int) {
-	stride := len(c.bound)
-	for _, l := range c.changed {
-		q, s := c.classQ[l], int(l)*stride+w
-		for _, u := range c.watch[c.split[s]:c.split[s+1]] {
-			c.drift[u] = core.AddSat(c.drift[u], q)
-		}
-	}
 }
 
 // certified reports whether user i's cached Δ_i = {c*} holds for every
@@ -446,33 +386,42 @@ func (c *collector) certified(i int32, x float64) bool {
 }
 
 // probeUser caches ΔP_i(c) for every route c of user i, and Δ_i computed
-// from them by core's Δ_i rule, as core's BestResponseSet does.
+// from them by core's Δ_i rule, as core's BestResponseSet does, and records
+// the probe with the tracker.
 func (c *collector) probeUser(ev *core.Evaluator, i int32) {
 	lo, hi, cur := c.off[i], c.off[i+1], int(c.choice[i])
 	dp := c.dp[lo:hi]
 	ev.ProfitDeltas(core.UserID(i), dp)
 	delta := core.BestResponseSetOf(c.delta[lo:lo:hi], dp, cur)
 	c.nd[i] = int32(len(delta))
-	c.gap[i] = core.Gap(dp, cur)
-	c.drift[i] = 0
+	c.tr.Answered(int(i), c.tolerance(i))
 }
 
-// buildIndex builds the watch index (core.WatchIndex: each task's
-// watchers in user order, a user as often as one of its routes lists the
-// task) and every user's skip bound (core.NewSkipBound). Tasks with
-// identical watcher lists share one watcher class and one copy of the
-// list, so shard w's watchers of a class are one run of it, whose offsets
-// are fixed here, once.
+// tolerance returns the drift up to which user i's cached probe stands
+// without certification: a requester's stands at drift 0 alone (its gap
+// exceeds Eps, so the skip rule fails at drift 1), and a Δ_i = ∅ probe's
+// up to its skip bound's tolerance. Before the skip bounds are built, on
+// the first collection, it returns 0, and buildIndex sets the tolerances.
+func (c *collector) tolerance(i int32) uint64 {
+	if c.nd[i] > 0 || c.skip == nil {
+		return 0
+	}
+	return c.skip[i].Tolerance(core.Gap(c.dp[c.off[i]:c.off[i+1]], int(c.choice[i])))
+}
+
+// buildIndex builds the tracker's watcher classes, every user's skip bound
+// (core.NewSkipBound), and the tolerance of every probe the first
+// collection cached. It runs before the second collection's sync, so the
+// cached probes and choices still match.
 func (c *collector) buildIndex() {
 	in := c.in
-	nt := len(in.Tasks)
-	off, watch := core.WatchIndex(in, nil) // task k's watchers are watch[off[k]:off[k+1]]
+	c.tr.Index(in, nil)
 	c.skip = make([]core.SkipBound, len(in.Users))
-	c.was = make([]int32, nt)
+	c.was = make([]int32, len(in.Tasks))
 	for k := range c.was {
 		c.was[k] = -1
 	}
-	w := core.NewWatchScan(nt)
+	w := core.NewWatchScan(len(in.Tasks))
 	var routes []core.MoveRoute[task.ID]
 	for i := range in.Users {
 		u := &in.Users[i]
@@ -481,47 +430,6 @@ func (c *collector) buildIndex() {
 			routes = append(routes, core.MoveRoute[task.ID]{Tasks: r.Tasks, Detour: in.DetourCost(r), Congestion: in.CongestionCost(r)})
 		}
 		c.skip[i] = core.NewSkipBound(w, u.Alpha, u.Beta, u.Gamma, routes, func(k task.ID) task.Task { return in.Tasks[k] })
-	}
-	// Group the tasks into classes, moving each class's list down over the
-	// lists of the tasks before it: a list never moves up, so the lists
-	// still to be read are intact.
-	c.class = make([]int32, nt)
-	head := make(map[uint64]int32, nt) // the newest class with a list hash
-	var prev []int32                   // prev[l]: the class before l with l's hash, or -1
-	starts := []int32{0}               // class l's list is watch[starts[l]:starts[l+1]]
-	for k := range nt {
-		list := watch[off[k]:off[k+1]]
-		h := uint64(14695981039346656037) // FNV-1a over the user IDs
-		for _, u := range list {
-			h = (h ^ uint64(uint32(u))) * 1099511628211
-		}
-		first, ok := head[h]
-		if !ok {
-			first = -1
-		}
-		l := first
-		for l >= 0 && !slices.Equal(watch[starts[l]:starts[l+1]], list) {
-			l = prev[l]
-		}
-		if l < 0 {
-			l = int32(len(prev))
-			head[h] = l
-			prev = append(prev, first)
-			end := starts[l]
-			starts = append(starts, end+int32(copy(watch[end:], list)))
-		}
-		c.class[k] = l
-	}
-	nc := len(starts) - 1
-	c.watch = slices.Clone(watch[:starts[nc]])
-	c.classQ = make([]uint64, nc)
-	stride := len(c.bound)
-	c.split = make([]int32, nc*stride)
-	for l := range nc {
-		list := c.watch[starts[l]:starts[l+1]]
-		for s, b := range c.bound {
-			n, _ := slices.BinarySearch(list, b)
-			c.split[l*stride+s] = starts[l] + int32(n)
-		}
+		c.tr.Tol[i] = c.tolerance(int32(i))
 	}
 }

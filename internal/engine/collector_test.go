@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/rng"
-	"repro/internal/task"
 )
 
 // collectingFactories are the policies that gather their requests through
@@ -84,7 +82,7 @@ func collectorDifferential(t testing.TB, in *core.Instance, choices []int, facto
 		if a, b := sa.Intn(1<<30), sb.Intn(1<<30); a != b {
 			t.Fatalf("%s slot %d: streams diverge after collection (%d vs oracle %d)", pol.name, slots, a, b)
 		}
-		for _, d := range pol.c.drift {
+		for _, d := range pol.c.tr.Drift {
 			if d > 0 {
 				skips++ // left unprobed with a nonzero drift
 			}
@@ -139,7 +137,7 @@ func boundedDifferential(t testing.TB, in *core.Instance, choices []int, seed ui
 		if a, b := sa.Intn(1<<30), sb.Intn(1<<30); a != b {
 			t.Fatalf("slot %d: streams diverge after selection (%d vs exact %d)", slots, a, b)
 		}
-		for i, d := range bounded.drift {
+		for i, d := range bounded.tr.Drift {
 			if d > 0 && bounded.nd[i] > 0 {
 				certified++
 			}
@@ -261,7 +259,7 @@ func TestCollectorProbesFewUsers(t *testing.T) {
 		if slots > 0 {
 			probes += pol.c.probes
 		}
-		for _, d := range pol.c.drift {
+		for _, d := range pol.c.tr.Drift {
 			if d > 0 {
 				skips++
 			}
@@ -282,6 +280,43 @@ func TestCollectorProbesFewUsers(t *testing.T) {
 	}
 	if skips == 0 {
 		t.Error("the drift bound never spared a probe")
+	}
+}
+
+// TestCollectorProbesPastTolerance pins the collector's skip rule to its
+// tracker's, drift > tolerance, at the boundary: with every user's drift
+// set to its tolerance or one unit past it, a pass must probe exactly the
+// users one unit past. Real drift sums rarely land on the boundary, so the
+// differential tests alone would miss a rule off by one unit. Some users
+// must have a tolerance above 0 (a cached Δ_i = ∅).
+func TestCollectorProbesPastTolerance(t *testing.T) {
+	in := core.RandomInstance(core.DefaultRandomConfig(256, 120), rng.New(21))
+	p := core.RandomProfile(in, rng.New(4))
+	var c collector
+	c.refresh(p, false)
+	c.refresh(p, false) // the second collection builds the index and the tolerances
+	past, tolerant := 0, 0
+	want := make([]bool, len(c.tr.Drift)) // set one unit past the tolerance
+	for i, tol := range c.tr.Tol {
+		if tol > 0 {
+			tolerant++
+		}
+		c.tr.Drift[i] = tol
+		if i%2 == 0 && tol < core.DriftInf-1 {
+			c.tr.Drift[i], want[i] = tol+1, true
+			past++
+		}
+	}
+	before := slices.Clone(c.tr.Drift)
+	c.probes = 0
+	c.pass(0)
+	for i, d := range c.tr.Drift {
+		if probed := d != before[i]; probed != want[i] {
+			t.Fatalf("user %d, tolerance %d: drift %d before the pass, %d after", i, c.tr.Tol[i], before[i], d)
+		}
+	}
+	if c.probes != past || tolerant == 0 {
+		t.Fatalf("%d probes for %d users past their tolerance; %d users with a tolerance above 0", c.probes, past, tolerant)
 	}
 }
 
@@ -352,11 +387,11 @@ func TestCollectorKeyBoundsDelta(t *testing.T) {
 		slack := math.Ldexp(s.Float64(), s.IntRange(-60, 0))
 		drift := uint64(s.Intn(1<<40)) + 1
 		c := collector{
-			in:    &core.Instance{Users: []core.User{{Alpha: alpha}}},
-			off:   []int32{0, 2},
-			dp:    []float64{0, d},
-			drift: []uint64{drift},
-			skip:  []core.SkipBound{{Alpha: math.Abs(alpha), Slack: slack}},
+			in:   &core.Instance{Users: []core.User{{Alpha: alpha}}},
+			off:  []int32{0, 2},
+			dp:   []float64{0, d},
+			tr:   &core.DriftTracker{Drift: []uint64{drift}},
+			skip: []core.SkipBound{{Alpha: math.Abs(alpha), Slack: slack}},
 		}
 		r := Request{Route: 1, B: make([]int, s.IntRange(1, 9))}
 		key := c.key(0, &r)
@@ -378,75 +413,6 @@ func TestCollectorKeyBoundsDelta(t *testing.T) {
 		if key.exact || cmp.Compare(fresh.delta(), key.d) > 0 {
 			t.Fatalf("dp %v, α %v, x %v, |B| %d: key %+v, but ΔP %v gives δ %v", d, alpha, x, len(r.B), key, v, fresh.delta())
 		}
-	}
-}
-
-// TestCollectorClassDrift checks the watcher classes against per-task
-// pushes: with random q per changed task, some near 2^62 so that sums
-// saturate to core.DriftInf, pushing each changed class's sum once (addDrift,
-// then every shard's push) must leave every user the drift that pushing
-// each task's q into the task's own watchers — listed afresh, a user as
-// often as it watches the task — leaves, bit for bit. The instances must
-// group some tasks into shared classes and saturate some drift.
-func TestCollectorClassDrift(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
-	s := rng.New(77)
-	shared, saturated := 0, 0
-	for n, in := range differentialInstances() {
-		var c collector
-		p := core.RandomProfile(in, rng.New(uint64(n)))
-		c.refresh(p, false)
-		c.refresh(p, false) // the second collection builds the index
-		shared += len(in.Tasks) - len(c.classQ)
-		watchers := make([][]int32, len(in.Tasks))
-		w := core.NewWatchScan(len(in.Tasks))
-		for i := range in.Users {
-			var routes []core.MoveRoute[task.ID]
-			for _, r := range in.Users[i].Routes {
-				routes = append(routes, core.MoveRoute[task.ID]{Tasks: r.Tasks})
-			}
-			core.ScanWatched(w, routes, func(k task.ID, m int32) {
-				for ; m > 0; m-- {
-					watchers[k] = append(watchers[k], int32(i))
-				}
-			})
-		}
-		for trial := 0; trial < 4; trial++ {
-			c.clearDrift()
-			clear(c.drift)
-			want := make([]uint64, len(in.Users))
-			for k := range in.Tasks {
-				if !s.Bool(0.4) {
-					continue
-				}
-				q := uint64(s.Intn(1<<20)) + 1
-				if s.Bool(0.2) {
-					q = 1<<62 - uint64(s.Intn(1<<10))
-				}
-				c.addDrift(int32(k), q)
-				for _, u := range watchers[k] {
-					if d := want[u] + q; d >= q {
-						want[u] = d
-					} else {
-						want[u] = core.DriftInf
-					}
-				}
-			}
-			for sh := range len(c.bound) - 1 {
-				c.push(sh)
-			}
-			for i, d := range c.drift {
-				if d != want[i] {
-					t.Fatalf("instance %d user %d: class drift %d, per-task pushes %d", n, i, d, want[i])
-				}
-				if d == core.DriftInf {
-					saturated++
-				}
-			}
-		}
-	}
-	if shared == 0 || saturated == 0 {
-		t.Fatalf("%d tasks shared a class, %d drifts saturated: the grouping or saturation went untested", shared, saturated)
 	}
 }
 
